@@ -20,6 +20,14 @@ namespace {
 
 using namespace dmm;
 
+local::RunOptions run_options(int max_rounds, const local::FaultOptions& faults,
+                              const local::CheckpointOptions& checkpoint = {}) {
+  local::RunOptions options(max_rounds);
+  options.faults = faults;
+  options.checkpoint = checkpoint;
+  return options;
+}
+
 // One greedy run under `plan` on the chosen engine, recorded with the
 // dmm-bench-6 fault counters filled in from the RunResult.
 local::RunResult record_faulty_run(benchjson::Harness& harness, const std::string& instance,
@@ -34,14 +42,12 @@ local::RunResult record_faulty_run(benchjson::Harness& harness, const std::strin
   record.k = g.k();
   record.engine = local::engine_kind_name(kind);
   record.threads = kind == local::EngineKind::kFlat ? options.threads : 1;
-  const local::FaultOptions faults{&plan};
+  const local::RunOptions ropts = run_options(max_rounds, local::FaultOptions{&plan}, checkpoint);
   local::RunResult run;
   record.wall_ns = benchjson::Harness::time_ns([&] {
     run = kind == local::EngineKind::kFlat
-              ? local::run_flat(g, algo::greedy_program_factory(), max_rounds, options, faults,
-                                checkpoint)
-              : local::run_sync(g, algo::greedy_program_factory(), max_rounds, faults,
-                                checkpoint);
+              ? local::run_flat(g, algo::greedy_program_factory(), ropts, options)
+              : local::run_sync(g, algo::greedy_program_factory(), ropts);
   });
   record.rounds = run.rounds;
   record.max_message_bytes = run.max_message_bytes;
@@ -162,12 +168,11 @@ void print_rows(benchjson::Harness& harness) {
     record.engine = local::engine_kind_name(kind);
     const local::FaultOptions faults{&plan};
     local::RunResult run;
+    const local::RunOptions ropts = run_options(rounds_budget, faults, capture);
     record.wall_ns = benchjson::Harness::time_ns([&] {
       run = kind == local::EngineKind::kFlat
-                ? local::run_flat(g, algo::greedy_program_factory(), rounds_budget, {}, faults,
-                                  capture)
-                : local::run_sync(g, algo::greedy_program_factory(), rounds_budget, faults,
-                                  capture);
+                ? local::run_flat(g, algo::greedy_program_factory(), ropts)
+                : local::run_sync(g, algo::greedy_program_factory(), ropts);
     });
     record.rounds = run.rounds;
     record.max_message_bytes = run.max_message_bytes;
@@ -194,8 +199,7 @@ void print_rows(benchjson::Harness& harness) {
                           parsed = local::EngineCheckpoint::read(in);
                           parsed.require_matches(g);
                           if (kind == local::EngineKind::kFlat) {
-                            local::FlatEngine engine(g, algo::greedy_program_factory(),
-                                                     rounds_budget, {});
+                            local::FlatEngine engine(g, algo::greedy_program_factory());
                             engine.restore(parsed);
                           }
                         }) /
@@ -203,11 +207,11 @@ void print_rows(benchjson::Harness& harness) {
 
     local::CheckpointOptions resume;
     resume.resume = &parsed;
+    const local::RunOptions resume_opts = run_options(rounds_budget, faults, resume);
     const local::RunResult resumed =
         kind == local::EngineKind::kFlat
-            ? local::run_flat(g, algo::greedy_program_factory(), rounds_budget, {}, faults,
-                              resume)
-            : local::run_sync(g, algo::greedy_program_factory(), rounds_budget, faults, resume);
+            ? local::run_flat(g, algo::greedy_program_factory(), resume_opts)
+            : local::run_sync(g, algo::greedy_program_factory(), resume_opts);
     const bool ok = resumed.outputs == run.outputs && resumed.halt_round == run.halt_round &&
                     resumed.rounds == run.rounds && resumed.crashes == run.crashes &&
                     resumed.restarts == run.restarts &&
@@ -232,7 +236,7 @@ void BM_FaultyRun(benchmark::State& state) {
   const int budget = faulty_max_rounds(g, plan);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        local::run_flat(g, algo::greedy_program_factory(), budget, {}, faults));
+        local::run_flat(g, algo::greedy_program_factory(), run_options(budget, faults)));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }
@@ -266,7 +270,7 @@ void BM_CheckpointCapture(benchmark::State& state) {
   capture.sink = [&](const local::EngineCheckpoint& ck) {
     if (snap.round == 0) snap = ck;
   };
-  (void)local::run_sync(g, algo::greedy_program_factory(), g.k() + 1, {}, capture);
+  (void)local::run_sync(g, algo::greedy_program_factory(), run_options(g.k() + 1, {}, capture));
   for (auto _ : state) {
     std::ostringstream out;
     snap.write(out);
@@ -283,11 +287,11 @@ void BM_CheckpointRestore(benchmark::State& state) {
   capture.sink = [&](const local::EngineCheckpoint& ck) {
     if (snap.round == 0) snap = ck;
   };
-  (void)local::run_sync(g, algo::greedy_program_factory(), g.k() + 1, {}, capture);
+  (void)local::run_sync(g, algo::greedy_program_factory(), run_options(g.k() + 1, {}, capture));
   std::ostringstream out;
   snap.write(out);
   const std::string bytes = out.str();
-  local::FlatEngine engine(g, algo::greedy_program_factory(), g.k() + 1, {});
+  local::FlatEngine engine(g, algo::greedy_program_factory());
   for (auto _ : state) {
     std::istringstream in(bytes);
     engine.restore(in);

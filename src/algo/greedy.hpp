@@ -6,7 +6,8 @@
 //
 // Three equivalent realisations are provided and cross-validated in tests:
 //   * greedy_outputs        — centralised reference implementation,
-//   * GreedyProgram         — message-passing state machine for run_sync,
+//   * GreedyProgram         — message-passing state machine, run unchanged
+//     by run_sync, run_flat and (through pn::ColouredAdapter) run_pn,
 //   * GreedyLocal           — the §2.3 functional form (input: radius-k view),
 //     which is what the lower-bound adversary interrogates.
 #pragma once
@@ -32,51 +33,30 @@ std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system);
 
 /// Message-passing greedy.  Halts at round c-1 when matched along colour c;
 /// an never-matched node halts once its largest incident colour has been
-/// resolved.
+/// resolved.  Allocation-free: it keeps init's pointer to the incident
+/// colour row, and its only message is a one-byte matched/free status.
 class GreedyProgram final : public local::NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override;
-  std::map<Colour, local::Message> send(int round) override;
-  bool receive(int round, const std::map<Colour, local::Message>& inbox) override;
-  // Allocation-free fast paths for the flat engine; the equivalence suite
-  // (tests/test_flat_engine.cpp) pins them to the map-based trio above.
-  // init_flat keeps a span over the engine's CSR colour row instead of
-  // copying it, so a pooled greedy run performs no per-node allocation at
-  // all — this is what opens n = 10⁷ (ISSUE 4 / test_engine_scale).
-  bool init_flat(const Colour* incident, int degree) override;
-  void send_flat(int round, local::FlatOutbox& out) override;
-  bool receive_flat(int round, const local::FlatInbox& in) override;
+  bool init(const Colour* incident, int degree) override;
+  void send(int round, local::Outbox& out) override;
+  bool receive(int round, const local::Inbox& in) override;
   Colour output() const override { return output_; }
   // Checkpoint hooks: the whole dynamic state is {matched_, output_} — the
-  // incident colours are re-derived by init, and neighbour_matched_ is
-  // refreshed before every use.  Two bytes per node.
+  // incident colours are re-derived by init.  Two bytes per node.
   void save_state(std::string& out) const override;
   void load_state(std::string_view in) override;
 
  private:
-  bool start();
   bool try_finish(int completed_step);
 
-  // The node's sorted incident colours: a borrowed engine row on the flat
-  // path, a private copy (owned_) on the map path.
-  const Colour* incident_ = nullptr;
+  const Colour* incident_ = nullptr;  // sorted; the engine's row
   int degree_ = 0;
-  std::vector<Colour> owned_;
-  std::vector<char> neighbour_matched_;  // indexed by incident position
   Colour output_ = local::kUnmatched;
   bool matched_ = false;
 };
 
-/// Pooled factory for GreedyProgram with the tuned batched path: one
-/// contiguous arena block for all n programs.
-class GreedyProgramFactory final : public local::ProgramFactory {
- public:
-  void make_programs(std::size_t count, local::ProgramPool& pool) const override;
-  local::NodeProgram* make_one(local::ProgramPool& pool) const override;
-};
-
 /// The pooled greedy source (accepted directly by local::run/run_sync/
-/// run_flat).
+/// run_flat): all n programs in one contiguous arena block.
 local::ProgramSource greedy_program_factory();
 
 /// Functional greedy (running time k-1): simulates the greedy process on

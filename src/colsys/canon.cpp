@@ -44,7 +44,7 @@ ColourPerm inverse_perm(const ColourPerm& p) {
 std::vector<ColourPerm> all_perms(int k) {
   require_orbit_k(k, "all_perms");
   std::vector<Colour> images;
-  for (Colour c = 1; c <= k; ++c) images.push_back(c);
+  for (int c = 1; c <= k; ++c) images.push_back(c);
   std::vector<ColourPerm> out;
   do {
     ColourPerm p(static_cast<std::size_t>(k) + 1, gk::kNoColour);

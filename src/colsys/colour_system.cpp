@@ -18,6 +18,7 @@ int shrink_radius(int valid_radius, int delta) {
 
 ColourSystem::ColourSystem(int k, int valid_radius) : k_(k), valid_radius_(valid_radius) {
   if (k < 1) throw std::invalid_argument("ColourSystem: k must be >= 1");
+  if (k > gk::kMaxPalette) throw std::invalid_argument("ColourSystem: k must be <= 255");
   if (valid_radius < 0) throw std::invalid_argument("ColourSystem: negative valid_radius");
   nodes_.push_back(Node{});
   children_.assign(static_cast<std::size_t>(k_), kNullNode);
@@ -71,7 +72,7 @@ NodeId ColourSystem::add_child(NodeId v, Colour c) {
 std::vector<Colour> ColourSystem::colours_at(NodeId v) const {
   check(v);
   std::vector<Colour> out;
-  for (Colour c = 1; c <= k_; ++c) {
+  for (int c = 1; c <= k_; ++c) {
     if (nodes_[v].pcolour == c || children_[child_slot(v, c)] != kNullNode) out.push_back(c);
   }
   return out;
@@ -80,7 +81,7 @@ std::vector<Colour> ColourSystem::colours_at(NodeId v) const {
 int ColourSystem::degree(NodeId v) const {
   check(v);
   int d = nodes_[v].pcolour != gk::kNoColour ? 1 : 0;
-  for (Colour c = 1; c <= k_; ++c) {
+  for (int c = 1; c <= k_; ++c) {
     if (children_[child_slot(v, c)] != kNullNode) ++d;
   }
   return d;
@@ -111,7 +112,7 @@ std::vector<NodeId> ColourSystem::nodes_up_to(int h) const {
     queue.pop_front();
     if (nodes_[v].depth > h) continue;
     out.push_back(v);
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const NodeId u = children_[child_slot(v, c)];
       if (u != kNullNode) queue.push_back(u);
     }
@@ -163,7 +164,7 @@ ColourSystem ColourSystem::rerooted(NodeId y, std::vector<NodeId>* old_to_new) c
       queue.push_back(u);
     };
     if (nodes_[v].parent != kNullNode) visit(nodes_[v].parent, nodes_[v].pcolour);
-    for (Colour c = 1; c <= k_; ++c) visit(children_[child_slot(v, c)], c);
+    for (int c = 1; c <= k_; ++c) visit(children_[child_slot(v, c)], c);
   }
   if (old_to_new) *old_to_new = std::move(map);
   return out;
@@ -177,7 +178,7 @@ ColourSystem ColourSystem::pruned(Colour c, std::vector<NodeId>* old_to_new) con
   std::vector<NodeId> map(nodes_.size(), kNullNode);
   map[root()] = out.root();
   std::deque<NodeId> queue;
-  for (Colour cc = 1; cc <= k_; ++cc) {
+  for (int cc = 1; cc <= k_; ++cc) {
     const NodeId u = children_[child_slot(root(), cc)];
     if (u != kNullNode && cc != c) {
       map[u] = out.add_child(out.root(), cc);
@@ -187,7 +188,7 @@ ColourSystem ColourSystem::pruned(Colour c, std::vector<NodeId>* old_to_new) con
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = children_[child_slot(v, cc)];
       if (u != kNullNode) {
         map[u] = out.add_child(map[v], cc);
@@ -212,7 +213,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   std::vector<NodeId> self_map(nodes_.size(), kNullNode);
   self_map[root()] = out.root();
   std::deque<NodeId> queue;
-  for (Colour cc = 1; cc <= k_; ++cc) {
+  for (int cc = 1; cc <= k_; ++cc) {
     const NodeId u = children_[child_slot(root(), cc)];
     if (u != kNullNode && cc != c) {
       self_map[u] = out.add_child(out.root(), cc);
@@ -222,7 +223,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = children_[child_slot(v, cc)];
       if (u != kNullNode) {
         self_map[u] = out.add_child(self_map[v], cc);
@@ -238,7 +239,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = other.children_[child_slot(v, cc)];
       if (u != kNullNode) {
         other_map[u] = out.add_child(other_map[v], cc);
@@ -267,7 +268,7 @@ ColourSystem ColourSystem::permuted(const std::vector<Colour>& perm,
     const NodeId v = queue.front();
     queue.pop_front();
     order.clear();
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const NodeId u = children_[child_slot(v, c)];
       if (u != kNullNode) order.emplace_back(perm[c], u);
     }
@@ -300,7 +301,7 @@ ColourSystem ColourSystem::ball(NodeId v, int radius) const {
         next.emplace_back(u, out.add_child(dst, edge_colour));
       };
       if (nodes_[src].parent != kNullNode) visit(nodes_[src].parent, nodes_[src].pcolour);
-      for (Colour c = 1; c <= k_; ++c) visit(children_[child_slot(src, c)], c);
+      for (int c = 1; c <= k_; ++c) visit(children_[child_slot(src, c)], c);
     }
     frontier.swap(next);
   }
@@ -343,7 +344,7 @@ void ColourSystem::serialize_subtree_into(NodeId top, Colour dropped, int radius
     }
     const Colour omitted = f.v == top ? dropped : gk::kNoColour;
     std::uint8_t mask_count = 0;
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       if (c != omitted && children_[child_slot(f.v, c)] != kNullNode) ++mask_count;
     }
     out.push_back(mask_count);
@@ -356,7 +357,7 @@ void ColourSystem::serialize_subtree_into(NodeId top, Colour dropped, int radius
         stack.push_back({u, f.depth + 1});
       }
     }
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       if (c != omitted && children_[child_slot(f.v, c)] != kNullNode) out.push_back(c);
     }
   }
@@ -381,7 +382,9 @@ std::string ColourSystem::str(int max_depth) const {
     if (f.v == root()) {
       out += "e";
     } else {
-      out += "-" + std::to_string(static_cast<int>(nodes_[f.v].pcolour)) + "-";
+      out += '-';
+      out += std::to_string(static_cast<int>(nodes_[f.v].pcolour));
+      out += '-';
     }
     out += "\n";
     if (nodes_[f.v].depth >= max_depth) continue;
@@ -413,7 +416,7 @@ ColourSystem regular_system(int k, int d, int depth) {
     if (out.depth(v) >= depth) continue;
     const Colour pc = out.parent_colour(v);
     int added = pc != gk::kNoColour ? 1 : 0;  // parent edge counts towards d
-    for (Colour c = 1; c <= k && added < d; ++c) {
+    for (int c = 1; c <= k && added < d; ++c) {
       if (c == pc) continue;
       queue.push_back(out.add_child(v, c));
       ++added;

@@ -19,6 +19,8 @@ namespace dmm::gk {
 /// A colour in [k]; 1-based.  Colour 0 is reserved as "no colour".
 using Colour = std::uint8_t;
 inline constexpr Colour kNoColour = 0;
+/// The largest palette size k a Colour can name (colours are 1..k).
+inline constexpr int kMaxPalette = 255;
 
 /// An element of G_k in reduced form.
 ///

@@ -9,6 +9,7 @@ namespace dmm::graph {
 EdgeColouredGraph::EdgeColouredGraph(int n, int k) : k_(k) {
   if (n < 0) throw std::invalid_argument("EdgeColouredGraph: negative node count");
   if (k < 1) throw std::invalid_argument("EdgeColouredGraph: k must be >= 1");
+  if (k > gk::kMaxPalette) throw std::invalid_argument("EdgeColouredGraph: k must be <= 255");
   adjacency_.resize(static_cast<std::size_t>(n));
 }
 

@@ -1,5 +1,7 @@
 #include "local/engine.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <stdexcept>
 
@@ -17,6 +19,12 @@ void NodeProgram::save_state(std::string& /*out*/) const {
 void NodeProgram::load_state(std::string_view /*in*/) {
   throw std::logic_error(
       "NodeProgram::load_state: this program does not support checkpointing");
+}
+
+std::string halted_announcement(Colour output) {
+  char text[8] = {kHaltedPrefix};
+  const char* end = std::to_chars(text + 1, text + sizeof(text), static_cast<int>(output)).ptr;
+  return std::string(text, static_cast<std::size_t>(end - text));
 }
 
 namespace {
@@ -61,10 +69,52 @@ double elapsed_ns(std::chrono::steady_clock::time_point since) {
                                  .count());
 }
 
-/// run_sync, stepwise.  The constructor is the old function's setup phase
-/// (program construction, init delivery, checkpoint resume); step() is one
-/// iteration of its round loop, verbatim.  run_sync itself is now a thin
-/// loop over this class, so a stepped run is the closed run.
+/// The oracle's outbox: one optional message per port, in a container the
+/// round owns.  Accounting happens here, per message set, so it matches
+/// whatever the program writes.
+class SyncOutbox final : public Outbox {
+ public:
+  SyncOutbox(const std::vector<Colour>& row, std::vector<std::optional<Message>>& sent,
+             RunResult& result)
+      : sent_(sent), result_(result) {
+    colours_ = row.data();
+    count_ = static_cast<int>(row.size());
+  }
+
+ private:
+  void write(int port, std::string_view bytes) override {
+    result_.max_message_bytes = std::max(result_.max_message_bytes, bytes.size());
+    result_.total_message_bytes += bytes.size();
+    ++result_.messages_sent;
+    sent_[static_cast<std::size_t>(port)] = Message(bytes);
+  }
+
+  std::vector<std::optional<Message>>& sent_;
+  RunResult& result_;
+};
+
+/// The oracle's inbox: the messages this node receives, copied out per
+/// port before anyone receives.
+class SyncInbox final : public Inbox {
+ public:
+  SyncInbox(const std::vector<Colour>& row, const std::vector<Message>& received)
+      : received_(received) {
+    colours_ = row.data();
+    count_ = static_cast<int>(row.size());
+  }
+
+ private:
+  std::string_view read(int port) const override {
+    return received_[static_cast<std::size_t>(port)];
+  }
+
+  const std::vector<Message>& received_;
+};
+
+/// run_sync, stepwise.  The constructor is the setup phase (program
+/// construction, init delivery, checkpoint resume); step() is one round.
+/// run_sync itself is a thin loop over this class, so a stepped run is the
+/// closed run.
 class SyncSession final : public Session {
  public:
   SyncSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
@@ -90,6 +140,8 @@ class SyncSession final : public Session {
     // Setup phase (timed into init_ns): batch-construct the programs into
     // the pool, then deliver each node its initial knowledge.
     const auto init_start = std::chrono::steady_clock::now();
+    rows_.reserve(static_cast<std::size_t>(n_));
+    for (graph::NodeIndex v = 0; v < n_; ++v) rows_.push_back(g_.incident_colours(v));
     pool_.reserve(static_cast<std::size_t>(n_));
     source.build(static_cast<std::size_t>(n_), pool_);
     if (options.checkpoint.resume != nullptr) {
@@ -100,9 +152,7 @@ class SyncSession final : public Session {
       // round-0 halt decisions it reports are already recorded in the
       // checkpoint, so they are ignored here; load_state below overwrites
       // the dynamic state.
-      for (graph::NodeIndex v = 0; v < n_; ++v) {
-        pool_[static_cast<std::size_t>(v)]->init(g_.incident_colours(v));
-      }
+      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) init(v);
       for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
         result_.outputs[v] = cp.outputs[v];
         result_.halt_round[v] = cp.halt_round[v];
@@ -124,12 +174,11 @@ class SyncSession final : public Session {
         pool_[v]->load_state(cp.program_state[blob++]);
       }
     } else {
-      for (graph::NodeIndex v = 0; v < n_; ++v) {
-        if (pool_[static_cast<std::size_t>(v)]->init(g_.incident_colours(v))) {
-          halted_[static_cast<std::size_t>(v)] = 1;
-          result_.halt_round[static_cast<std::size_t>(v)] = 0;
-          result_.outputs[static_cast<std::size_t>(v)] =
-              pool_[static_cast<std::size_t>(v)]->output();
+      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
+        if (init(v)) {
+          halted_[v] = 1;
+          result_.halt_round[v] = 0;
+          result_.outputs[v] = pool_[v]->output();
           --running_;
         }
       }
@@ -180,16 +229,14 @@ class SyncSession final : public Session {
     // Phase 1: collect outgoing messages.  Halted nodes re-announce their
     // final output (visible per the paper's output announcement); down and
     // dead nodes send nothing.
+    const auto n = static_cast<std::size_t>(n_);
     const auto send_start = std::chrono::steady_clock::now();
-    std::vector<std::map<Colour, Message>> outgoing(static_cast<std::size_t>(n_));
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      outgoing[static_cast<std::size_t>(v)] = pool_[static_cast<std::size_t>(v)]->send(round);
-      for (const auto& [colour, message] : outgoing[static_cast<std::size_t>(v)]) {
-        result_.max_message_bytes = std::max(result_.max_message_bytes, message.size());
-        result_.total_message_bytes += message.size();
-        ++result_.messages_sent;
-      }
+    std::vector<std::vector<std::optional<Message>>> outgoing(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (halted_[v] || down_[v]) continue;
+      outgoing[v].resize(rows_[v].size());
+      SyncOutbox out(rows_[v], outgoing[v], result_);
+      pool_[v]->send(round, out);
     }
     result_.send_ns += elapsed_ns(send_start);
     // Phase 2: build every inbox from the state at the *start* of the
@@ -200,38 +247,40 @@ class SyncSession final : public Session {
     // (running sender, running receiver, message present) — halted
     // announcements are environment, not messages, and are never dropped.
     const auto receive_start = std::chrono::steady_clock::now();
-    std::vector<std::map<Colour, Message>> inboxes(static_cast<std::size_t>(n_));
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      for (Colour c : g_.incident_colours(v)) {
-        const graph::NodeIndex u = *g_.neighbour(v, c);
-        if (halted_[static_cast<std::size_t>(u)]) {
-          inboxes[static_cast<std::size_t>(v)][c] =
-              std::string(1, kHaltedPrefix) +
-              std::to_string(static_cast<int>(result_.outputs[static_cast<std::size_t>(u)]));
-        } else if (down_[static_cast<std::size_t>(u)]) {
-          inboxes[static_cast<std::size_t>(v)][c] = Message{};
-        } else {
-          auto it = outgoing[static_cast<std::size_t>(u)].find(c);
-          if (it == outgoing[static_cast<std::size_t>(u)].end()) {
-            inboxes[static_cast<std::size_t>(v)][c] = Message{};
-          } else if (plan_ != nullptr && plan_->drops(round, u, c)) {
-            inboxes[static_cast<std::size_t>(v)][c] = Message{};
-            ++result_.messages_dropped;
-          } else {
-            inboxes[static_cast<std::size_t>(v)][c] = it->second;
-          }
+    std::vector<std::vector<Message>> inboxes(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (halted_[v] || down_[v]) continue;
+      const std::vector<Colour>& row = rows_[v];
+      inboxes[v].resize(row.size());
+      for (std::size_t port = 0; port < row.size(); ++port) {
+        const Colour c = row[port];
+        const graph::NodeIndex u = *g_.neighbour(static_cast<graph::NodeIndex>(v), c);
+        const auto su = static_cast<std::size_t>(u);
+        if (halted_[su]) {
+          inboxes[v][port] = halted_announcement(result_.outputs[su]);
+          continue;
         }
+        if (down_[su]) continue;
+        // The sender's port for the shared edge: c's place in its row.
+        const std::vector<Colour>& peer_row = rows_[su];
+        const auto at = std::lower_bound(peer_row.begin(), peer_row.end(), c);
+        const std::optional<Message>& m =
+            outgoing[su][static_cast<std::size_t>(at - peer_row.begin())];
+        if (!m) continue;
+        if (plan_ != nullptr && plan_->drops(round, u, c)) {
+          ++result_.messages_dropped;
+          continue;
+        }
+        inboxes[v][port] = *m;
       }
     }
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      if (pool_[static_cast<std::size_t>(v)]->receive(round,
-                                                      inboxes[static_cast<std::size_t>(v)])) {
-        halted_[static_cast<std::size_t>(v)] = 1;
-        result_.halt_round[static_cast<std::size_t>(v)] = round;
-        result_.outputs[static_cast<std::size_t>(v)] =
-            pool_[static_cast<std::size_t>(v)]->output();
+    for (std::size_t v = 0; v < n; ++v) {
+      if (halted_[v] || down_[v]) continue;
+      const SyncInbox in(rows_[v], inboxes[v]);
+      if (pool_[v]->receive(round, in)) {
+        halted_[v] = 1;
+        result_.halt_round[v] = round;
+        result_.outputs[v] = pool_[v]->output();
         --running_;
       }
     }
@@ -250,12 +299,19 @@ class SyncSession final : public Session {
   }
 
  private:
+  bool init(std::size_t v) {
+    return pool_[v]->init(rows_[v].data(), static_cast<int>(rows_[v].size()));
+  }
+
   const graph::EdgeColouredGraph& g_;
   int n_;
   int max_rounds_;
   int every_;
   std::function<void(const EngineCheckpoint&)> sink_;
   const FaultPlan* plan_ = nullptr;
+  std::vector<std::vector<Colour>> rows_;  // per node: sorted incident colours
+  // Declared after rows_: programs may keep init's pointer into a row, so
+  // the pool (and its destructors) must go first.
   ProgramPool pool_;
   RunResult result_;
   std::vector<char> halted_;
@@ -272,17 +328,6 @@ std::unique_ptr<Session> make_sync_session(const graph::EdgeColouredGraph& g,
                                            const ProgramSource& source,
                                            const RunOptions& options) {
   return std::make_unique<SyncSession>(g, source, options);
-}
-
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds) {
-  return run_sync(g, source, RunOptions{max_rounds, {}, {}});
-}
-
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FaultOptions& faults,
-                   const CheckpointOptions& checkpoint) {
-  return run_sync(g, source, RunOptions{max_rounds, faults, checkpoint});
 }
 
 RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,

@@ -14,12 +14,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,113 +30,94 @@ namespace dmm::local {
 /// Messages are opaque byte strings; the model allows unbounded messages.
 using Message = std::string;
 
-struct FlatPlane;  // flat_engine.cpp
-class FlatEngine;
 class FaultPlan;          // faults.hpp
 struct EngineCheckpoint;  // checkpoint.hpp
+class ProgramPool;        // program_pool.hpp
 class Runtime;            // runtime.hpp
 
-/// Running totals for the paper's message-size accounting; shared between
-/// the engines and the flat-plane writers.  Cache-line aligned: the flat
-/// engine keeps one per worker in a vector, and every send updates it —
-/// unpadded, adjacent workers would false-share a line on each message.
-struct alignas(64) MessageStats {
-  std::size_t max_bytes = 0;
-  std::size_t total_bytes = 0;
-  std::size_t sent = 0;
-};
-
-/// Write side of the flat message plane: one slot per incident colour
-/// ("port"), ports sorted by colour exactly like the std::map inbox.  A
-/// message may be set at most once per port per round.
-class FlatOutbox {
+/// Write side of one node's ports for one round.  Port p is the node's
+/// p-th incident edge in increasing colour order — the row init received —
+/// so ports() and colour() are plain reads of that row; only set() and
+/// broadcast() reach the engine.  A message may be set at most once per
+/// port per round; a port left unset reads as empty at the receiver.
+class Outbox {
  public:
   int ports() const noexcept { return count_; }
   Colour colour(int port) const noexcept { return colours_[port]; }
 
-  /// Stores `bytes` in the slot of the given port (index into the node's
-  /// sorted incident-colour list).
-  void set(int port, std::string_view bytes);
-
-  /// Routes by colour; a non-incident colour is counted in the message
-  /// accounting (matching run_sync, which counts everything a program
-  /// returns) but never delivered.
-  void set_colour(Colour c, std::string_view bytes);
+  /// Stores `bytes` on `port`; throws std::out_of_range outside
+  /// [0, ports()).
+  void set(int port, std::string_view bytes) {
+    if (port < 0 || port >= count_) throw std::out_of_range("Outbox::set: port out of range");
+    write(port, bytes);
+  }
 
   /// Same bytes on every port.
-  void broadcast(std::string_view bytes);
+  virtual void broadcast(std::string_view bytes) {
+    for (int port = 0; port < count_; ++port) write(port, bytes);
+  }
 
- private:
-  friend class FlatEngine;
-  FlatPlane* plane_ = nullptr;
-  std::size_t base_ = 0;             // first slot of the node's own row
-  const Colour* colours_ = nullptr;  // sorted incident colours
+ protected:
+  Outbox() = default;
+  ~Outbox() = default;
+  virtual void write(int port, std::string_view bytes) = 0;
+
+  const Colour* colours_ = nullptr;
   int count_ = 0;
-  std::uint8_t arena_ = 0;         // spill arena of the writing worker (≤ 256 workers)
-  std::uint32_t stamp_ = 0;        // current round: stamps written slots live
-  MessageStats* stats_ = nullptr;
 };
 
-/// Read side of the flat message plane.  Ports resolve lazily: a program
-/// that only cares about one colour (greedy reads just the colour-(t+1)
-/// port) pays for one slot gather, not deg(v).  at() yields a contiguous
-/// byte view — empty when the neighbour sent nothing, the halted
-/// neighbour's cached announcement (prefixed with kHaltedPrefix) once it
-/// has stopped.
-class FlatInbox {
+/// Read side of one node's ports for one round, indexed like Outbox.
+/// at(port) is empty when the neighbour sent nothing (or is down or its
+/// message was dropped), and the neighbour's halted_announcement once it
+/// has halted.
+class Inbox {
  public:
   int ports() const noexcept { return count_; }
   Colour colour(int port) const noexcept { return colours_[port]; }
-  std::string_view at(int port) const;  // flat_engine.cpp
 
- private:
-  friend class FlatEngine;
-  const FlatEngine* engine_ = nullptr;
-  const FlatPlane* plane_ = nullptr;
+  /// Throws std::out_of_range outside [0, ports()).  The view is valid
+  /// until receive returns.
+  std::string_view at(int port) const {
+    if (port < 0 || port >= count_) throw std::out_of_range("Inbox::at: port out of range");
+    return read(port);
+  }
+
+ protected:
+  Inbox() = default;
+  ~Inbox() = default;
+  virtual std::string_view read(int port) const = 0;
+
   const Colour* colours_ = nullptr;
-  std::size_t row_ = 0;  // first slot of the receiving node's row
   int count_ = 0;
-  std::uint8_t stamp_ = 0;
 };
 
 /// Per-node state machine.  Implementations must be anonymous: the only
-/// instance information ever provided is the list of incident edge colours
-/// and the received messages (keyed by incident colour, which is how an
-/// anonymous node tells its ports apart in an edge-coloured graph).
+/// instance information ever provided is the sorted list of incident edge
+/// colours and the messages received on them (port p is the p-th colour,
+/// which is how an anonymous node tells its ports apart in an
+/// edge-coloured graph).  The same program runs unchanged on run_sync,
+/// run_flat and, through pn::ColouredAdapter, the PN engine.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
 
-  /// Called once before round 1 with the node's initial knowledge.  May
-  /// halt immediately (return true) — that is a running time of 0.
-  virtual bool init(const std::vector<Colour>& incident) = 0;
+  /// Called once before round 1 with the node's initial knowledge: its
+  /// `degree` incident colours, ascending.  The row stays valid and
+  /// unchanged for the whole run on every engine, so a program may keep
+  /// the pointer instead of copying.  May halt immediately (return true) —
+  /// that is a running time of 0.
+  virtual bool init(const Colour* incident, int degree) = 0;
 
-  /// Flat-engine init fast path: `incident` points directly at the
-  /// engine's sorted CSR colour row (`degree` entries), which stays valid
-  /// for the whole run.  The default copies into a vector and bridges to
-  /// init(); allocation-free programs (greedy) override this and keep the
-  /// span, which is what makes pooled init at n = 10⁷ cheap.
-  virtual bool init_flat(const Colour* incident, int degree);
+  /// Writes this round's outgoing messages.  Only called while the node
+  /// is running.
+  virtual void send(int round, Outbox& out) = 0;
 
-  /// Produces this round's outgoing message per incident colour.  Only
-  /// called while the node is running.
-  virtual std::map<Colour, Message> send(int round) = 0;
-
-  /// Delivers this round's incoming messages (one per incident colour; for
-  /// a halted neighbour this is its final announcement, prefixed by the
-  /// engine with kHaltedPrefix).  Returns true to halt after this round.
-  virtual bool receive(int round, const std::map<Colour, Message>& inbox) = 0;
+  /// Delivers this round's incoming messages.  Returns true to halt after
+  /// this round.
+  virtual bool receive(int round, const Inbox& in) = 0;
 
   /// The local output; valid once halted.
   virtual Colour output() const = 0;
-
-  // Flat-plane fast path (optional).  The defaults bridge to the map-based
-  // send/receive above, so every program runs unchanged — and bit-for-bit
-  // identically — on the flat engine.  Hot programs override these to skip
-  // the per-round std::map churn; the engine-equivalence suite
-  // (tests/test_flat_engine.cpp) pins the two paths together.
-  virtual void send_flat(int round, FlatOutbox& out);
-  virtual bool receive_flat(int round, const FlatInbox& in);
 
   // Checkpoint hooks (optional; checkpoint.hpp).  save_state serialises
   // everything the program's future behaviour depends on *beyond* what
@@ -152,55 +132,28 @@ class NodeProgram {
 
 inline constexpr char kHaltedPrefix = '!';
 
-/// Legacy per-node factory: one heap allocation per node.  Still accepted
-/// everywhere (tests build throwaway programs this way), but the pooled
-/// ProgramFactory path below is what the engines are tuned for.
-using NodeProgramFactory = std::function<std::unique_ptr<NodeProgram>()>;
+/// What a halted node announces to its neighbours in every later round:
+/// kHaltedPrefix followed by its output in decimal ("!0" is ⊥).
+std::string halted_announcement(Colour output);
 
-class ProgramPool;  // program_pool.hpp: arena-backed type-erased storage
-
-/// Batched program construction: the engines hand the factory the whole
-/// node range at once and it constructs every program in place inside the
-/// pool's slab arena.  The per-node default bridges to make_one, so a
-/// factory only has to implement the batch path when it is hot (greedy and
-/// flooding override make_programs; see algo/greedy.hpp).
-class ProgramFactory {
- public:
-  virtual ~ProgramFactory() = default;
-
-  /// Appends programs for `count` nodes to the pool, in node order.  The
-  /// default performs `count` make_one calls.
-  virtual void make_programs(std::size_t count, ProgramPool& pool) const;
-
-  /// Constructs a single program into the pool.
-  virtual NodeProgram* make_one(ProgramPool& pool) const = 0;
-};
-
-/// What the engines actually accept: either a pooled ProgramFactory or any
-/// legacy callable returning std::unique_ptr<NodeProgram>.  Both engine
-/// paths must produce bit-identical RunResults — pinned by
-/// tests/test_program_pool.cpp.
+/// How the engines build programs: one callable that appends programs for
+/// `count` nodes to the pool, in node order, constructing them in place in
+/// the pool's slab arena.  local::pooled<T>(args...) (program_pool.hpp)
+/// covers homogeneous populations; a program with per-node parameters
+/// passes a fill that emplaces one program per node index.
 class ProgramSource {
  public:
+  using Fill = std::function<void(std::size_t count, ProgramPool& pool)>;
+
   ProgramSource() = default;
-
-  template <class F,
-            std::enable_if_t<std::is_invocable_r_v<std::unique_ptr<NodeProgram>, F&>, int> = 0>
-  ProgramSource(F factory) : legacy_(std::move(factory)) {}  // NOLINT(google-explicit-constructor)
-
-  ProgramSource(std::shared_ptr<const ProgramFactory> factory)  // NOLINT(google-explicit-constructor)
-      : factory_(std::move(factory)) {}
+  explicit ProgramSource(Fill fill) : fill_(std::move(fill)) {}
 
   /// Fills `pool` with programs for `count` nodes (program_pool.cpp).
-  /// Throws std::logic_error when the source is empty.
+  /// Throws std::logic_error when the source is empty or builds too few.
   void build(std::size_t count, ProgramPool& pool) const;
 
-  /// True when programs construct in the pool's arena (no per-node heap).
-  bool pooled() const noexcept { return factory_ != nullptr; }
-
  private:
-  NodeProgramFactory legacy_;
-  std::shared_ptr<const ProgramFactory> factory_;
+  Fill fill_;
 };
 
 struct RunResult {
@@ -233,12 +186,11 @@ struct RunResult {
   double send_ns = 0.0;
   double receive_ns = 0.0;
   // Worker threads created over the whole run.  A standalone flat engine
-  // spawns its persistent pool (threads − 1 workers beyond the caller)
-  // exactly once in the constructor and parks it between phases, so this
-  // stays constant in the round count — the old engine spawned/joined a
-  // fresh set every phase of every round.  A runtime-backed engine
-  // (runtime.hpp) reports only the threads the shared pool spawned on ITS
-  // behalf: the one session that triggered the lazy spawn reports
+  // owns a private Runtime whose pool (threads − 1 workers beyond the
+  // caller) it spawns exactly once, in the constructor, and parks between
+  // phases, so this stays constant in the round count.  An engine on a
+  // shared runtime (runtime.hpp) reports only the threads the pool spawned
+  // on ITS behalf: the one session that triggered the lazy spawn reports
   // threads − 1, every other session 0 — so the sum over N sessions stays
   // threads − 1 (one pool per process).  0 on every serial path
   // (run_sync, threads = 1).  Not part of engine equivalence.
@@ -264,10 +216,11 @@ struct CheckpointOptions {
   const EngineCheckpoint* resume = nullptr;
 };
 
-/// Everything a run is parameterised by, in one struct.  The historical
-/// (max_rounds, faults, checkpoint) overload pairs forward here; new code
-/// (and the Session API below) takes RunOptions directly.
+/// Everything a run is parameterised by, in one struct.  Implicit from
+/// max_rounds, so `run_sync(g, source, 8)` reads as it always did.
 struct RunOptions {
+  RunOptions(int max_rounds = 0) : max_rounds(max_rounds) {}  // NOLINT(google-explicit-constructor)
+
   /// Throw after this many rounds without global halt (a distributed
   /// algorithm that does not halt is a bug).  Must be positive.
   int max_rounds = 0;
@@ -317,22 +270,14 @@ std::unique_ptr<Session> make_sync_session(const graph::EdgeColouredGraph& g,
                                            const RunOptions& options);
 
 /// Runs one copy of the program on every node until all have halted or
-/// max_rounds is exceeded (which throws — a distributed algorithm that does
-/// not halt is a bug).
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds);
-
-/// As above, with fault injection and checkpointing.
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FaultOptions& faults,
-                   const CheckpointOptions& checkpoint = {});
-
-/// The primary form: both historical overloads forward here.
+/// options.max_rounds is exceeded (which throws — a distributed algorithm
+/// that does not halt is a bug), under the options' faults and
+/// checkpointing.
 RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options);
 
 /// The library's simulation engines.  kSync is the reference oracle
-/// (per-round std::map inboxes, engine.cpp); kFlat is the high-throughput
+/// (per-round message containers, engine.cpp); kFlat is the high-throughput
 /// CSR message plane (flat_engine.cpp).  The two are required to agree on
 /// every RunResult field for every program.
 enum class EngineKind {
@@ -340,16 +285,7 @@ enum class EngineKind {
   kFlat,
 };
 
-/// Dispatches to run_sync or run_flat (with default options).
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds);
-
-/// As above, with fault injection and checkpointing.
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds, const FaultOptions& faults,
-              const CheckpointOptions& checkpoint = {});
-
-/// The primary form: both historical overloads forward here.
+/// Dispatches to run_sync or run_flat (with default engine options).
 RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
               const ProgramSource& source, const RunOptions& options);
 

@@ -32,10 +32,6 @@ double phase_elapsed_ns(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-// The persistent phase-dispatch pool lives in runtime.hpp as WorkerPool
-// since the shared-Runtime refactor: a standalone engine still owns a
-// private instance, a runtime-backed engine borrows the process-shared one.
-
 /// One directed-edge message slot, sender-major: node v's outgoing message
 /// on its i-th port lives at slot row[v] + i, so the send phase streams
 /// sequentially and only the receive phase gathers.  A slot is live only
@@ -56,28 +52,17 @@ static_assert(kFlatInlineBytes >= 6, "payload must hold a spill {offset, arena} 
 
 struct FlatPlane {
   std::vector<FlatSlot> slots;
-  // Spill for unbounded messages, per worker.  A standalone engine owns
-  // its arenas (own_arenas); a runtime-backed engine points `arenas` at
-  // the shared Runtime set instead — spills are round-scoped scratch
-  // (cleared by new_round, read only within the same step, never reachable
-  // from a stale-stamped slot), and the runtime's borrow lock spans the
-  // whole step, so sharing them across sessions is safe and keeps the
-  // steady-state footprint one arena set per process, not per session.
-  std::vector<std::vector<char>> own_arenas;
-  std::vector<std::vector<char>>* arenas = &own_arenas;
+  // Spill for unbounded messages: the runtime's per-worker arenas.  Spills
+  // are round-scoped scratch (cleared by new_round, read only within the
+  // same step, never reachable from a stale-stamped slot), and the
+  // runtime's borrow lock spans the whole step, so sharing them across
+  // sessions is safe and keeps the steady-state footprint one arena set
+  // per runtime, not per session.
+  std::vector<std::vector<char>>* arenas = nullptr;
 
-  void configure(std::size_t slot_count, int workers,
-                 std::vector<std::vector<char>>* shared) {
+  void configure(std::size_t slot_count, std::vector<std::vector<char>>& runtime_arenas) {
     slots.assign(slot_count, FlatSlot{});
-    if (shared != nullptr) {
-      arenas = shared;
-      if (arenas->size() < static_cast<std::size_t>(workers)) {
-        arenas->resize(static_cast<std::size_t>(workers));
-      }
-    } else {
-      arenas = &own_arenas;
-      own_arenas.resize(static_cast<std::size_t>(workers));
-    }
+    arenas = &runtime_arenas;
   }
 
   /// Arena capacity is kept, so steady-state rounds allocate nothing; the
@@ -91,26 +76,65 @@ struct alignas(64) FlatEngine::ChunkCursor {
   std::atomic<std::int64_t> next{0};
 };
 
-void FlatOutbox::set(int port, std::string_view bytes) {
-  if (port < 0 || port >= count_) {
-    throw std::out_of_range("FlatOutbox::set: port out of range");
+namespace {
+
+/// The flat engine's outbox: writes straight into the sender's own slot
+/// row.  One per chunk; at_node() rebinds it to the next sender, so the
+/// send phase allocates nothing beyond spills.
+class FlatOutbox final : public Outbox {
+ public:
+  FlatOutbox(FlatPlane& plane, int worker, std::uint8_t stamp, MessageStats& stats)
+      : plane_(plane),
+        arena_(static_cast<std::uint8_t>(worker)),
+        stamp_(stamp),
+        stats_(stats) {}
+
+  void at_node(std::size_t base, const Colour* colours, int count) noexcept {
+    base_ = base;
+    colours_ = colours;
+    count_ = count;
   }
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size();
-  ++stats_->sent;
-  FlatSlot& slot = plane_->slots[flat_slot(base_, port)];
-  slot.stamp = static_cast<std::uint8_t>(stamp_);
-  if (bytes.size() <= kFlatInlineBytes) {
-    slot.len = static_cast<std::uint8_t>(bytes.size());
-    if (!bytes.empty()) std::memcpy(slot.payload, bytes.data(), bytes.size());
-  } else {
-    if (bytes.size() > 0xffffffffu) {
-      throw std::length_error("FlatOutbox::set: message too long");
+
+  void broadcast(std::string_view bytes) override {
+    if (count_ == 0) return;
+    if (bytes.size() > kFlatInlineBytes) {
+      // Spilling broadcasts are rare; the generic path handles the arena.
+      Outbox::broadcast(bytes);
+      return;
     }
-    std::vector<char>& arena = (*plane_->arenas)[arena_];
+    // The hot path of constant-size protocols (greedy sends one status
+    // byte to every neighbour): one stats update and one prepared 8-byte
+    // slot store per port.
+    stats_.max_bytes = std::max(stats_.max_bytes, bytes.size());
+    stats_.total_bytes += bytes.size() * static_cast<std::size_t>(count_);
+    stats_.sent += static_cast<std::size_t>(count_);
+    FlatSlot proto;
+    proto.stamp = stamp_;
+    proto.len = static_cast<std::uint8_t>(bytes.size());
+    if (!bytes.empty()) std::memcpy(proto.payload, bytes.data(), bytes.size());
+    FlatSlot* row = plane_.slots.data() + base_;
+    for (int port = 0; port < count_; ++port) row[port] = proto;
+  }
+
+ private:
+  void write(int port, std::string_view bytes) override {
+    stats_.max_bytes = std::max(stats_.max_bytes, bytes.size());
+    stats_.total_bytes += bytes.size();
+    ++stats_.sent;
+    FlatSlot& slot = plane_.slots[flat_slot(base_, port)];
+    slot.stamp = stamp_;
+    if (bytes.size() <= kFlatInlineBytes) {
+      slot.len = static_cast<std::uint8_t>(bytes.size());
+      if (!bytes.empty()) std::memcpy(slot.payload, bytes.data(), bytes.size());
+      return;
+    }
+    if (bytes.size() > 0xffffffffu) {
+      throw std::length_error("Outbox::set: message too long");
+    }
+    std::vector<char>& arena = (*plane_.arenas)[arena_];
     const std::uint64_t off = arena.size();  // byte cursor: always 64-bit
     if (off > kMaxSpillOffset) {
-      throw std::length_error("FlatOutbox::set: spill arena exceeds the 40-bit offset space");
+      throw std::length_error("Outbox::set: spill arena exceeds the 40-bit offset space");
     }
     const auto len = static_cast<std::uint32_t>(bytes.size());
     arena.resize(arena.size() + sizeof(len) + bytes.size());
@@ -123,90 +147,65 @@ void FlatOutbox::set(int port, std::string_view bytes) {
     }
     slot.payload[5] = static_cast<char>(arena_);
   }
-}
 
-void FlatOutbox::set_colour(Colour c, std::string_view bytes) {
-  const Colour* end = colours_ + count_;
-  const Colour* it = std::lower_bound(colours_, end, c);
-  if (it != end && *it == c) {
-    set(static_cast<int>(it - colours_), bytes);
-    return;
+  FlatPlane& plane_;
+  std::size_t base_ = 0;  // first slot of the node's own row
+  std::uint8_t arena_;    // spill arena of the writing worker (≤ 256 workers)
+  std::uint8_t stamp_;    // current round: stamps written slots live
+  MessageStats& stats_;
+};
+
+}  // namespace
+
+/// The flat engine's inbox: a lazy view over the peers' slots (the
+/// engine's resolve() does the gather).  One per chunk, rebound per node.
+class FlatInbox final : public Inbox {
+ public:
+  FlatInbox(const FlatEngine& engine, const FlatPlane& plane, std::uint8_t stamp)
+      : engine_(engine), plane_(plane), stamp_(stamp) {}
+
+  void at_node(std::size_t row, const Colour* colours, int count) noexcept {
+    row_ = row;
+    colours_ = colours;
+    count_ = count;
   }
-  // Not an incident colour: nothing to deliver, but run_sync counts every
-  // message a program produces, so the accounting must match.
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size();
-  ++stats_->sent;
-}
 
-void FlatOutbox::broadcast(std::string_view bytes) {
-  if (count_ == 0) return;
-  if (bytes.size() > kFlatInlineBytes) {
-    // Spilling broadcasts are rare; the generic path handles the arena.
-    for (int port = 0; port < count_; ++port) set(port, bytes);
-    return;
+ private:
+  std::string_view read(int port) const override {
+    return engine_.resolve(plane_, flat_slot(row_, port), stamp_);
   }
-  // The hot path of constant-size protocols (greedy sends one status byte
-  // to every neighbour): one stats update and one prepared 8-byte slot
-  // store per port.
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size() * static_cast<std::size_t>(count_);
-  stats_->sent += static_cast<std::size_t>(count_);
-  FlatSlot proto;
-  proto.stamp = static_cast<std::uint8_t>(stamp_);
-  proto.len = static_cast<std::uint8_t>(bytes.size());
-  if (!bytes.empty()) std::memcpy(proto.payload, bytes.data(), bytes.size());
-  FlatSlot* row = plane_->slots.data() + base_;
-  for (int port = 0; port < count_; ++port) row[port] = proto;
-}
 
-// Default flat hooks: bridge to the map-based API, preserving run_sync's
-// semantics (and its message accounting) exactly.
-bool NodeProgram::init_flat(const Colour* incident, int degree) {
-  return init(std::vector<Colour>(incident, incident + degree));
-}
+  const FlatEngine& engine_;
+  const FlatPlane& plane_;
+  std::size_t row_ = 0;  // first slot of the receiving node's row
+  std::uint8_t stamp_;
+};
 
-void NodeProgram::send_flat(int round, FlatOutbox& out) {
-  for (const auto& [colour, message] : send(round)) out.set_colour(colour, message);
-}
-
-bool NodeProgram::receive_flat(int round, const FlatInbox& in) {
-  std::map<Colour, Message> inbox;
-  for (int port = 0; port < in.ports(); ++port) {
-    inbox.emplace(in.colour(port), Message(in.at(port)));
-  }
-  return receive(round, inbox);
-}
-
-FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                       int max_rounds, const FlatEngineOptions& options, Runtime* runtime)
-    : g_(g), source_(source), max_rounds_(max_rounds), runtime_(runtime) {
+FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, ProgramSource source,
+                       const FlatEngineOptions& options, Runtime* runtime)
+    : g_(g), source_(std::move(source)), runtime_(runtime) {
   // Everything the constructor does — CSR construction, chunk planning,
-  // spawning the persistent pool — is setup work, timed into build_ns_
-  // and folded into RunResult::init_ns by run() (the old engine started
-  // the clock inside run() and under-reported init by the whole CSR).
+  // spawning a private pool — is setup work, timed into build_ns_ and
+  // folded into RunResult::init_ns.
   const auto build_start = std::chrono::steady_clock::now();
   n_ = g.node_count();
-  // Worker clamp: never more workers than nodes (an empty partition buys
-  // nothing and the n = 0 / threads = 8 edge used to depend on every
-  // phase tolerating it), never more than the one-byte spill-arena index
-  // can address, and never fewer than one.  A runtime-backed engine takes
-  // its worker budget from the shared runtime (the pool is process-wide
-  // and fixed-size), not from options.threads.
+  // Worker clamp: never more workers than nodes, never more than the
+  // one-byte spill-arena index can address, and never fewer than one.  A
+  // shared runtime fixes the worker budget (its pool is process-wide and
+  // fixed-size); a standalone engine takes it from options.threads.
   const int budget = runtime_ != nullptr ? runtime_->threads() : options.threads;
   workers_ = std::max(1, std::min(budget, kMaxFlatWorkers));
   if (workers_ > n_) workers_ = std::max(1, n_);
   steal_ = options.steal;
   build_csr();
-  if (workers_ > 1) {
-    plan_chunks(options.chunk_slots);
-    if (runtime_ == nullptr) {
-      // The private pool is spawned exactly once per engine and parked
-      // between phases — per-round thread creations are zero by
-      // construction.  A runtime-backed engine spawns nothing: the shared
-      // pool is created lazily by the runtime, once per process.
-      pool_threads_ = std::make_unique<WorkerPool>(workers_ - 1);
-    }
+  if (workers_ > 1) plan_chunks(options.chunk_slots);
+  if (runtime_ == nullptr) {
+    // A standalone engine owns a runtime of exactly its worker count and
+    // spawns the pool now, once — per-round thread creations are zero by
+    // construction, and threads_spawned stays workers − 1.
+    own_runtime_ = std::make_unique<Runtime>(workers_);
+    runtime_ = own_runtime_.get();
+    spawned_ = runtime_->ensure_pool();
   }
   plane_ = std::make_unique<FlatPlane>();
   build_ns_ = phase_elapsed_ns(build_start);
@@ -238,7 +237,7 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
     // the checkpoint, and load_state overwrites the dynamic state.
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       const std::size_t begin = row_[static_cast<std::size_t>(v)];
-      pool_[static_cast<std::size_t>(v)]->init_flat(port_colour_.data() + begin, degree(v));
+      pool_[static_cast<std::size_t>(v)]->init(port_colour_.data() + begin, degree(v));
     }
     for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
       result_.outputs[v] = cp->outputs[v];
@@ -263,15 +262,14 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   } else {
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       const std::size_t begin = row_[static_cast<std::size_t>(v)];
-      if (pool_[static_cast<std::size_t>(v)]->init_flat(port_colour_.data() + begin,
-                                                        degree(v))) {
+      if (pool_[static_cast<std::size_t>(v)]->init(port_colour_.data() + begin, degree(v))) {
         halt(v, /*round=*/0);
         --running_;
       }
     }
   }
   result_.init_ns = build_ns_ + phase_elapsed_ns(init_start);
-  result_.threads_spawned = pool_threads_ ? pool_threads_->spawned() : 0;
+  result_.threads_spawned = spawned_;
 
   // Everything the rounds need is built lazily: a 0-round algorithm on a
   // million nodes never pays for the message plane.
@@ -280,16 +278,14 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   newly_halted_.assign(static_cast<std::size_t>(workers_), {});
 }
 
-RunResult FlatEngine::run() { return run(FaultOptions{}); }
-
-RunResult FlatEngine::run(const FaultOptions& faults, const CheckpointOptions& checkpoint) {
-  begin(RunOptions{max_rounds_, faults, checkpoint});
+RunResult FlatEngine::run(const RunOptions& options) {
+  begin(options);
   while (!done()) step();
   return finish();
 }
 
 void FlatEngine::begin(const RunOptions& options) {
-  if (options.max_rounds > 0) max_rounds_ = options.max_rounds;
+  max_rounds_ = options.max_rounds;
   plan_ = (options.faults.plan != nullptr && !options.faults.plan->empty())
               ? options.faults.plan
               : nullptr;
@@ -321,13 +317,11 @@ void FlatEngine::step() {
 }
 
 void FlatEngine::step_round(int round) {
-  // Borrow the shared runtime for the WHOLE step, not per phase: the spill
-  // arenas are shared across sessions and a payload spilled in the send
-  // phase is read in this step's receive phase — another session's step in
-  // between would clear it.  Standalone engines (runtime_ == nullptr) take
-  // no lock; their pool and arenas are private.
-  std::unique_lock<std::mutex> borrow;
-  if (runtime_ != nullptr) borrow = std::unique_lock<std::mutex>(runtime_->mutex());
+  // Borrow the runtime for the WHOLE step, not per phase: the spill arenas
+  // may be shared across sessions and a payload spilled in the send phase
+  // is read in this step's receive phase — another session's step in
+  // between would clear it.  (A private runtime's lock is uncontended.)
+  const std::lock_guard<std::mutex> borrow(runtime_->mutex());
   round_now_ = round;
   // Phase 0: apply this round's fault events before the send phase.  A
   // crash aimed at a halted or dead node is a no-op; a permanent crash
@@ -358,8 +352,7 @@ void FlatEngine::step_round(int round) {
     }
   }
   if (!planes_ready_) {
-    plane_->configure(port_colour_.size(), workers_,
-                      runtime_ != nullptr ? &runtime_->arenas() : nullptr);
+    plane_->configure(port_colour_.size(), runtime_->arenas());
     // Halts recorded before the first simulated round (round-0 halts, or
     // everything a restored checkpoint carries) rendered no announcements
     // yet; render the ones with a live audience now.
@@ -387,17 +380,12 @@ void FlatEngine::step_round(int round) {
   // ever touch the same slot.
   const auto send_start = std::chrono::steady_clock::now();
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
-    FlatOutbox out;
-    out.plane_ = &plane;
-    out.arena_ = static_cast<std::uint8_t>(worker);
-    out.stats_ = &stats_[static_cast<std::size_t>(worker)];
-    out.stamp_ = stamp;
+    FlatOutbox out(plane, worker, stamp, stats_[static_cast<std::size_t>(worker)]);
     for (graph::NodeIndex v = begin; v < end; ++v) {
       if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      out.base_ = row_[static_cast<std::size_t>(v)];
-      out.colours_ = port_colour_.data() + out.base_;
-      out.count_ = degree(v);
-      pool_[static_cast<std::size_t>(v)]->send_flat(round, out);
+      const std::size_t row = row_[static_cast<std::size_t>(v)];
+      out.at_node(row, port_colour_.data() + row, degree(v));
+      pool_[static_cast<std::size_t>(v)]->send(round, out);
     }
   });
 
@@ -429,17 +417,12 @@ void FlatEngine::step_round(int round) {
   // round must not leak its decision to same-round receivers).  New
   // halts are collected per worker and applied after the barrier.
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
+    FlatInbox in(*this, plane, stamp);
     for (graph::NodeIndex v = begin; v < end; ++v) {
       if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
       const std::size_t row = row_[static_cast<std::size_t>(v)];
-      FlatInbox in;
-      in.engine_ = this;
-      in.plane_ = &plane;
-      in.colours_ = port_colour_.data() + row;
-      in.row_ = row;
-      in.count_ = degree(v);
-      in.stamp_ = stamp;
-      if (pool_[static_cast<std::size_t>(v)]->receive_flat(round, in)) {
+      in.at_node(row, port_colour_.data() + row, degree(v));
+      if (pool_[static_cast<std::size_t>(v)]->receive(round, in)) {
         newly_halted_[static_cast<std::size_t>(worker)].push_back(v);
       }
     }
@@ -594,7 +577,7 @@ std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
   if (slot.stamp != stamp) return {};
   if (slot.len != kSpillLen) return {slot.payload, slot.len};
   // Unpack the {offset:40, arena:8} spill address written by
-  // FlatOutbox::set; the offset expands into a 64-bit cursor.
+  // FlatOutbox::write; the offset expands into a 64-bit cursor.
   std::uint64_t off = 0;
   for (int i = 0; i < 5; ++i) {
     off |= static_cast<std::uint64_t>(static_cast<unsigned char>(slot.payload[i])) << (8 * i);
@@ -626,8 +609,7 @@ void FlatEngine::render_announcement(graph::NodeIndex v) {
   }
   if (!audience) return;
   announcements_[static_cast<std::size_t>(v)] =
-      std::string(1, kHaltedPrefix) +
-      std::to_string(static_cast<int>(result_.outputs[static_cast<std::size_t>(v)]));
+      halted_announcement(result_.outputs[static_cast<std::size_t>(v)]);
 }
 
 /// The tag cycle restarted: every stamp value is about to be reused, so
@@ -734,15 +716,12 @@ void FlatEngine::for_chunks(const F& fn) {
       drain((worker + step) % workers_, worker, fn);
     }
   };
-  if (runtime_ != nullptr) {
-    // Lazy shared-pool spawn: exactly one session's call creates the
-    // threads and inherits them into its threads_spawned gauge; every
-    // other session adds 0, so the per-process sum stays threads - 1.
-    result_.threads_spawned += runtime_->ensure_pool();
-    runtime_->pool()->run(phase);
-  } else {
-    pool_threads_->run(phase);
-  }
+  // Lazy shared-pool spawn: exactly one session's call creates the threads
+  // and inherits them into its threads_spawned gauge; every other session
+  // (and every engine whose private pool already exists) adds 0, so the
+  // per-runtime sum stays threads - 1.
+  result_.threads_spawned += runtime_->ensure_pool();
+  runtime_->pool()->run(phase);
 }
 
 /// Claims chunks from `victim`'s run until its cursor passes the end and
@@ -771,13 +750,6 @@ std::vector<std::size_t> flat_row_offsets(const std::vector<int>& degrees) {
   return offsets;
 }
 
-std::string_view FlatInbox::at(int port) const {
-  if (port < 0 || port >= count_) {
-    throw std::out_of_range("FlatInbox::at: port out of range");
-  }
-  return engine_->resolve(*plane_, flat_slot(row_, port), stamp_);
-}
-
 namespace {
 
 /// Session adapter over FlatEngine: the engine IS the stepped run; this
@@ -787,7 +759,7 @@ class FlatSession final : public Session {
   FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
               const RunOptions& options, const FlatEngineOptions& engine_options,
               Runtime* runtime)
-      : engine_(g, source, options.max_rounds, engine_options, runtime) {
+      : engine_(g, source, engine_options, runtime) {
     engine_.begin(options);
   }
 
@@ -803,23 +775,9 @@ class FlatSession final : public Session {
 }  // namespace
 
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options) {
-  return FlatEngine(g, source, max_rounds, options).run();
-}
-
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options,
-                   const FaultOptions& faults, const CheckpointOptions& checkpoint) {
-  return FlatEngine(g, source, max_rounds, options).run(faults, checkpoint);
-}
-
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options, const FlatEngineOptions& engine_options,
                    Runtime* runtime) {
-  FlatEngine engine(g, source, options.max_rounds, engine_options, runtime);
-  engine.begin(options);
-  while (!engine.done()) engine.step();
-  return engine.finish();
+  return FlatEngine(g, source, engine_options, runtime).run(options);
 }
 
 std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
@@ -841,17 +799,6 @@ std::unique_ptr<Session> make_session(EngineKind kind, const graph::EdgeColoured
       break;
   }
   return make_sync_session(g, source, options);
-}
-
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds) {
-  return run(kind, g, source, RunOptions{max_rounds, {}, {}});
-}
-
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds, const FaultOptions& faults,
-              const CheckpointOptions& checkpoint) {
-  return run(kind, g, source, RunOptions{max_rounds, faults, checkpoint});
 }
 
 RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,

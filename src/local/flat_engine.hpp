@@ -1,7 +1,7 @@
 // High-throughput simulation engine over a flat CSR message plane.
 //
 // run_flat simulates the same synchronous model as run_sync (engine.hpp)
-// but replaces the per-round std::map inboxes with per-edge message slots
+// but replaces the per-round inbox containers with per-edge message slots
 // in one contiguous, round-stamped buffer (the stamp subsumes the classic
 // send/recv double-buffer swap: last round's slots read as absent):
 //
@@ -11,22 +11,23 @@
 //   * messages up to kFlatInlineBytes live inline in the slot, the
 //     unbounded tail spills to a per-worker side arena (the model allows
 //     unbounded messages — flooding programs exercise this path);
-//   * inboxes resolve lazily (FlatInbox::at), so a program that reads one
+//   * programs see the slots through the port ABI (Outbox/Inbox,
+//     engine.hpp); inboxes resolve lazily, so a program that reads one
 //     port pays for one gather, not deg(v);
 //   * a halted node's announcement is rendered once, when it halts — and
 //     only if a still-running neighbour can read it — then served from
 //     that cache in every later round;
-//   * the send and receive phases optionally run on a persistent worker
-//     pool (options.threads > 1) owned by the engine: the threads are
-//     spawned once in the constructor, parked on a condition-variable
-//     barrier between phases, and joined in the destructor — no per-round
-//     thread churn.  Work is pre-split into chunks of roughly equal *slot*
-//     (directed-edge) weight, so a run of max-degree hub rows no longer
-//     serialises one worker the way the old node-count partition did, and
-//     workers that exhaust their own chunk run steal the remainder of the
-//     others' (options.steal).  Writes stay per-slot disjoint — a chunk is
-//     claimed by exactly one worker per phase — so no locks are taken on
-//     the plane itself.
+//   * the send and receive phases optionally run on the persistent worker
+//     pool of a Runtime (runtime.hpp) — a shared one, or, for a standalone
+//     engine, a private one sized to options.threads whose pool is spawned
+//     once in the constructor, parked on a condition-variable barrier
+//     between phases, and joined in the destructor.  Work is pre-split
+//     into chunks of roughly equal *slot* (directed-edge) weight, so a run
+//     of max-degree hub rows no longer serialises one worker the way the
+//     old node-count partition did, and workers that exhaust their own
+//     chunk run steal the remainder of the others' (options.steal).
+//     Writes stay per-slot disjoint — a chunk is claimed by exactly one
+//     worker per phase — so no locks are taken on the plane itself.
 //
 // Results are bit-identical to run_sync for every thread count, chunk
 // size and steal setting: all racy-looking state (message stats, spill
@@ -60,6 +61,18 @@ inline constexpr std::uint64_t kMaxSpillOffset = (std::uint64_t{1} << 40) - 1;
 /// Hard cap on flat-engine workers (the spill arena index is one byte);
 /// the shared runtime carries the same cap for the same reason.
 inline constexpr int kMaxFlatWorkers = kMaxRuntimeWorkers;
+
+/// Running totals for the paper's message-size accounting, one per worker.
+/// Cache-line aligned: every send updates it, and unpadded adjacent
+/// workers would false-share a line on each message.
+struct alignas(64) MessageStats {
+  std::size_t max_bytes = 0;
+  std::size_t total_bytes = 0;
+  std::size_t sent = 0;
+};
+
+struct FlatPlane;  // flat_engine.cpp
+class FlatInbox;   // flat_engine.cpp
 
 struct FlatEngineOptions {
   /// Workers for the send/receive phases; 1 (the default) runs in-line on
@@ -97,20 +110,20 @@ constexpr std::size_t flat_slot(std::size_t row, int port) noexcept {
 /// worker-pool spawn), then either run() to completion — optionally under a
 /// FaultPlan, with a CheckpointOptions sink observing round boundaries — or
 /// restore() a previously captured checkpoint and run() the remainder.
+/// Programs are built from the source (held by value) on every run.
 /// Checkpoints are engine-agnostic: a FlatEngine restores what run_sync
 /// captured and vice versa (tests/test_faults.cpp).
 class FlatEngine {
  public:
-  /// With `runtime` == nullptr the engine owns a private worker pool
-  /// (options.threads workers, spawned in the constructor).  With a
-  /// runtime, the engine borrows the process-shared pool and spill arenas
-  /// instead: the worker count comes from runtime->threads(), nothing is
-  /// spawned here (the runtime spawns its pool lazily, once per process),
-  /// and each round step takes the runtime's borrow lock — so many
-  /// concurrent sessions multiplex on one pool (runtime.hpp).
-  FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-             int max_rounds, const FlatEngineOptions& options,
-             Runtime* runtime = nullptr);
+  /// Every engine runs on a Runtime's pool and spill arenas, and takes its
+  /// borrow lock for each round step.  With `runtime` == nullptr the
+  /// engine owns a private Runtime sized to options.threads (after the
+  /// clamp) and spawns its pool here.  With a shared runtime the worker
+  /// count comes from runtime->threads() and nothing is spawned here (the
+  /// runtime spawns its pool lazily, once per process), so many concurrent
+  /// sessions multiplex on one pool (runtime.hpp).
+  FlatEngine(const graph::EdgeColouredGraph& g, ProgramSource source,
+             const FlatEngineOptions& options = {}, Runtime* runtime = nullptr);
   ~FlatEngine();
 
   FlatEngine(const FlatEngine&) = delete;
@@ -120,9 +133,8 @@ class FlatEngine {
   /// continues at checkpoint.round + 1 and finishes with a RunResult
   /// bit-identical to the uninterrupted run's.  Implemented as
   /// begin() + step() to completion + finish() — the stepped API below is
-  /// the engine; these are the thin loop.
-  RunResult run();
-  RunResult run(const FaultOptions& faults, const CheckpointOptions& checkpoint = {});
+  /// the engine; this is the thin loop.
+  RunResult run(const RunOptions& options);
 
   // Stepped session API (engine.hpp::Session wraps it via
   // make_flat_session).  begin() primes a run: applies the options'
@@ -149,7 +161,10 @@ class FlatEngine {
   void restore(const EngineCheckpoint& cp);
   void restore(std::istream& in);
 
-  /// Lazy inbox resolution (FlatInbox::at): the message delivered into
+ private:
+  friend class FlatInbox;
+
+  /// Lazy inbox resolution (Inbox::at): the message delivered into
   /// receiver slot s this round.  The sender's slot is found by a binary
   /// search of its (tiny, colour-sorted) row — programs typically read far
   /// fewer ports than there are slots, so no in-slot table is kept.  Under
@@ -159,7 +174,6 @@ class FlatEngine {
   std::string_view resolve(const FlatPlane& plane, std::size_t s,
                            std::uint8_t stamp) const noexcept;
 
- private:
   void build_csr();
 
   int degree(graph::NodeIndex v) const noexcept {
@@ -191,8 +205,8 @@ class FlatEngine {
   struct ChunkCursor;  // cache-line-isolated atomic claim cursor (flat_engine.cpp)
 
   const graph::EdgeColouredGraph& g_;
-  const ProgramSource& source_;
-  int max_rounds_;
+  ProgramSource source_;
+  int max_rounds_ = 0;
   int n_ = 0;
   int workers_ = 1;
   bool steal_ = true;
@@ -204,14 +218,15 @@ class FlatEngine {
   std::vector<std::int64_t> run_begin_;
   std::vector<std::int64_t> run_end_;
   std::unique_ptr<ChunkCursor[]> cursors_;
-  std::unique_ptr<WorkerPool> pool_threads_;  // private pool (no runtime): workers_ - 1 parked threads
-  Runtime* runtime_ = nullptr;                // shared pool + arenas, borrowed per step
+  std::unique_ptr<Runtime> own_runtime_;  // standalone engines only
+  Runtime* runtime_ = nullptr;            // pool + arenas, borrowed per step
+  std::size_t spawned_ = 0;               // threads own_runtime_ spawned
 
   std::vector<std::size_t> row_;             // n+1 offsets, sender-major CSR
   std::vector<Colour> port_colour_;          // per slot
   std::vector<graph::NodeIndex> peer_node_;  // per slot: the port's neighbour
 
-  // Declared after the CSR vectors: programs may hold init_flat spans into
+  // Declared after the CSR vectors: programs may keep init's pointer into
   // port_colour_, so the pool (and its destructors) must go first.
   ProgramPool pool_;
 
@@ -242,22 +257,15 @@ class FlatEngine {
   std::function<void(const EngineCheckpoint&)> sink_;
 };
 
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options = {});
-
-/// As above, with fault injection and checkpointing.
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options,
-                   const FaultOptions& faults, const CheckpointOptions& checkpoint = {});
-
-/// The primary form: the overloads above forward here.
+/// run_sync's model on the flat message plane; RunResults are identical.
+/// `runtime` (optional) is a shared pool, borrowed for the run.
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options, const FlatEngineOptions& engine_options = {},
                    Runtime* runtime = nullptr);
 
 /// A round-stepped flat run, optionally multiplexed on a shared Runtime.
-/// The graph, source, fault plan and runtime are borrowed and must outlive
-/// the session.
+/// The graph, fault plan and runtime are borrowed and must outlive the
+/// session.
 std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
                                            const ProgramSource& source,
                                            const RunOptions& options,

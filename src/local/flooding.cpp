@@ -18,7 +18,7 @@ void graft_below(const colsys::ColourSystem& src, colsys::ColourSystem& dst,
   while (!queue.empty()) {
     const auto [from, to] = queue.front();
     queue.pop_front();
-    for (Colour c = 1; c <= src.k(); ++c) {
+    for (int c = 1; c <= src.k(); ++c) {
       const colsys::NodeId child = src.child(from, c);
       if (child != colsys::kNullNode) queue.push_back({child, dst.add_child(to, c)});
     }
@@ -32,20 +32,10 @@ FloodingProgram::FloodingProgram(std::shared_ptr<const LocalAlgorithm> algorithm
   running_time_ = algorithm_->running_time();
 }
 
-bool FloodingProgram::init(const std::vector<Colour>& incident) {
-  incident_ = incident;
-  return start();
-}
-
-bool FloodingProgram::init_flat(const Colour* incident, int degree) {
-  incident_.assign(incident, incident + degree);
-  return start();
-}
-
-bool FloodingProgram::start() {
+bool FloodingProgram::init(const Colour* incident, int degree) {
   // The radius-1 view: the root plus one child per incident colour.
   view_ = colsys::ColourSystem(k_, /*valid_radius=*/1);
-  for (Colour c : incident_) view_.add_child(view_.root(), c);
+  for (int port = 0; port < degree; ++port) view_.add_child(view_.root(), incident[port]);
   if (running_time_ == 0) {
     output_ = algorithm_->evaluate(view_);
     return true;
@@ -53,20 +43,19 @@ bool FloodingProgram::start() {
   return false;
 }
 
-std::map<Colour, Message> FloodingProgram::send(int round) {
-  (void)round;
-  std::map<Colour, Message> out;
+void FloodingProgram::send(int /*round*/, Outbox& out) {
   // The neighbour across colour c gets everything except the branch it
   // contributed itself — walks towards it must not backtrack.
-  for (Colour c : incident_) out[c] = io::write_system(view_.pruned(c));
-  return out;
+  for (int port = 0; port < out.ports(); ++port) {
+    out.set(port, io::write_system(view_.pruned(out.colour(port))));
+  }
 }
 
-bool FloodingProgram::receive(int round, const std::map<Colour, Message>& inbox) {
+bool FloodingProgram::receive(int round, const Inbox& in) {
   colsys::ColourSystem next(k_, view_.valid_radius() + 1);
-  for (Colour c : incident_) {
-    const colsys::NodeId branch = next.add_child(next.root(), c);
-    const Message& m = inbox.at(c);
+  for (int port = 0; port < in.ports(); ++port) {
+    const colsys::NodeId branch = next.add_child(next.root(), in.colour(port));
+    const std::string_view m = in.at(port);
     // Under faults a neighbour may contribute nothing this round (it is
     // down, or its message was dropped), or only its halted announcement;
     // either way the branch stays a bare stub — the view keeps growing
@@ -74,7 +63,7 @@ bool FloodingProgram::receive(int round, const std::map<Colour, Message>& inbox)
     // Fault-free runs never take this branch: flooding nodes all halt in
     // the same round, so every inbox entry is a serialised view.
     if (m.empty() || m.front() == kHaltedPrefix) continue;
-    graft_below(io::read_system(m), next, branch);
+    graft_below(io::read_system(std::string(m)), next, branch);
   }
   view_ = std::move(next);
   // `>=`, not `==`: a node that was down at round running_time_ halts at
@@ -95,17 +84,9 @@ void FloodingProgram::load_state(std::string_view in) {
   view_ = io::read_system(std::string(in));
 }
 
-void FloodingProgramFactory::make_programs(std::size_t count, ProgramPool& pool) const {
-  pool.emplace_batch<FloodingProgram>(count, algorithm_, k_);
-}
-
-NodeProgram* FloodingProgramFactory::make_one(ProgramPool& pool) const {
-  return pool.emplace<FloodingProgram>(algorithm_, k_);
-}
-
 ProgramSource flooding_program_factory(std::shared_ptr<const LocalAlgorithm> algorithm,
                                        int k) {
-  return ProgramSource(std::make_shared<const FloodingProgramFactory>(std::move(algorithm), k));
+  return pooled<FloodingProgram>(std::move(algorithm), k);
 }
 
 }  // namespace dmm::local

@@ -11,8 +11,8 @@
 // This is the construction that turns the paper's functional definition of
 // a distributed algorithm into an operational one, and it is the library's
 // canonical source of *unbounded* messages: the serialised views grow with
-// the round number, which exercises the flat engine's spill arena (the
-// greedy fast path never leaves the inline slots).
+// the round number, which exercises the flat engine's spill arena
+// (greedy's one-byte status never leaves the inline slots).
 #pragma once
 
 #include <memory>
@@ -28,12 +28,9 @@ class FloodingProgram final : public NodeProgram {
   /// fixes the halting round.
   FloodingProgram(std::shared_ptr<const LocalAlgorithm> algorithm, int k);
 
-  bool init(const std::vector<Colour>& incident) override;
-  // Assigns straight from the engine's CSR row — one container fill, not
-  // the default bridge's temporary-vector-then-copy.
-  bool init_flat(const Colour* incident, int degree) override;
-  std::map<Colour, Message> send(int round) override;
-  bool receive(int round, const std::map<Colour, Message>& inbox) override;
+  bool init(const Colour* incident, int degree) override;
+  void send(int round, Outbox& out) override;
+  bool receive(int round, const Inbox& in) override;
   Colour output() const override { return output_; }
   // Checkpoint hooks: the dynamic state is exactly the accumulated view
   // (the text format of io/serialize.hpp); everything else is re-derived
@@ -42,29 +39,11 @@ class FloodingProgram final : public NodeProgram {
   void load_state(std::string_view in) override;
 
  private:
-  bool start();
-
   std::shared_ptr<const LocalAlgorithm> algorithm_;
   int k_;
   int running_time_ = 0;
-  std::vector<Colour> incident_;
   colsys::ColourSystem view_;
   Colour output_ = kUnmatched;
-};
-
-/// Pooled factory for FloodingProgram; the batched path constructs all n
-/// simulators back to back in the pool's arena.
-class FloodingProgramFactory final : public ProgramFactory {
- public:
-  FloodingProgramFactory(std::shared_ptr<const LocalAlgorithm> algorithm, int k)
-      : algorithm_(std::move(algorithm)), k_(k) {}
-
-  void make_programs(std::size_t count, ProgramPool& pool) const override;
-  NodeProgram* make_one(ProgramPool& pool) const override;
-
- private:
-  std::shared_ptr<const LocalAlgorithm> algorithm_;
-  int k_;
 };
 
 /// One FloodingProgram per node, all simulating `algorithm`.

@@ -4,38 +4,18 @@
 
 namespace dmm::local {
 
-NodeProgram* ProgramPool::adopt(std::unique_ptr<NodeProgram> program) {
-  NodeProgram* raw = program.get();
-  adopted_.push_back(std::move(program));
-  items_.push_back(raw);
-  return raw;
-}
-
 void ProgramPool::clear() {
-  for (auto it = pooled_.rbegin(); it != pooled_.rend(); ++it) {
-    (*it)->~NodeProgram();
-  }
-  pooled_.clear();
-  adopted_.clear();
+  for (auto it = items_.rbegin(); it != items_.rend(); ++it) (*it)->~NodeProgram();
   items_.clear();
   arena_.reset();
 }
 
-void ProgramFactory::make_programs(std::size_t count, ProgramPool& pool) const {
-  for (std::size_t i = 0; i < count; ++i) make_one(pool);
-}
-
 void ProgramSource::build(std::size_t count, ProgramPool& pool) const {
+  if (!fill_) throw std::logic_error("ProgramSource: empty source");
   const std::size_t before = pool.size();
-  if (factory_) {
-    factory_->make_programs(count, pool);
-  } else if (legacy_) {
-    for (std::size_t i = 0; i < count; ++i) pool.adopt(legacy_());
-  } else {
-    throw std::logic_error("ProgramSource: empty source (no factory)");
-  }
+  fill_(count, pool);
   if (pool.size() - before < count) {
-    throw std::logic_error("ProgramSource: factory constructed too few programs");
+    throw std::logic_error("ProgramSource: fill constructed too few programs");
   }
 }
 

@@ -1,24 +1,19 @@
 // Arena-pooled, type-erased NodeProgram storage.
 //
-// Both simulation engines used to hold one std::unique_ptr<NodeProgram>
-// per node — at n = 10⁷ that is ten million malloc/free pairs before the
-// first message is sent, and it was the dominant phase of flat-engine
-// setup (ROADMAP "Engine throughput").  A ProgramPool instead places the
-// programs into a util::Arena:
+// The engines never allocate one program per node on the heap: a
+// ProgramSource fills a ProgramPool, which places the programs into a
+// util::Arena:
 //
 //   * emplace<T>        — one program, one cursor bump;
 //   * emplace_batch<T>  — the tuned path: one contiguous allocation for
 //     the whole node range, so a homogeneous population (greedy) is laid
-//     out back to back and the engines' per-node walk is sequential;
-//   * adopt             — the legacy bridge for std::function factories,
-//     which still own their programs on the heap.
+//     out back to back and the engines' per-node walk is sequential.
 //
 // The pool owns lifetime, the arena owns memory: clear() runs every
-// pooled destructor (reverse order), releases adopted programs, and
-// resets the arena so a reused pool reallocates nothing.
+// destructor (reverse order) and resets the arena so a reused pool
+// reallocates nothing.
 #pragma once
 
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -41,7 +36,6 @@ class ProgramPool {
   T* emplace(Args&&... args) {
     static_assert(std::is_base_of_v<NodeProgram, T>);
     T* program = arena_.make<T>(std::forward<Args>(args)...);
-    pooled_.push_back(program);
     items_.push_back(program);
     return program;
   }
@@ -54,35 +48,36 @@ class ProgramPool {
     if (count == 0) return;
     T* block = arena_.allocate_array<T>(count);
     items_.reserve(items_.size() + count);
-    pooled_.reserve(pooled_.size() + count);
     for (std::size_t i = 0; i < count; ++i) {
       // Registered one by one so a throwing constructor leaves no
       // untracked live objects behind.
-      T* program = new (block + i) T(args...);
-      pooled_.push_back(program);
-      items_.push_back(program);
+      items_.push_back(new (block + i) T(args...));
     }
   }
-
-  /// Legacy bridge: takes ownership of a heap-constructed program.
-  NodeProgram* adopt(std::unique_ptr<NodeProgram> program);
 
   NodeProgram* operator[](std::size_t i) const noexcept { return items_[i]; }
   std::size_t size() const noexcept { return items_.size(); }
   bool empty() const noexcept { return items_.empty(); }
   void reserve(std::size_t count) { items_.reserve(count); }
 
-  /// Destroys every program (pooled ones in reverse construction order)
-  /// and rewinds the arena; the slabs stay reserved for the next fill.
+  /// Destroys every program in reverse construction order and rewinds the
+  /// arena; the slabs stay reserved for the next fill.
   void clear();
 
   const util::Arena& arena() const noexcept { return arena_; }
 
  private:
   util::Arena arena_;
-  std::vector<NodeProgram*> items_;    // node order, pooled and adopted mixed
-  std::vector<NodeProgram*> pooled_;   // arena-constructed: destroy in place
-  std::vector<std::unique_ptr<NodeProgram>> adopted_;  // heap bridge
+  std::vector<NodeProgram*> items_;  // node order
 };
+
+/// The source of a homogeneous population: `count` T's per build, each
+/// constructed from (a copy of) `args`, in one contiguous arena block.
+template <class T, class... Args>
+ProgramSource pooled(Args... args) {
+  return ProgramSource([args...](std::size_t count, ProgramPool& pool) {
+    pool.emplace_batch<T>(count, args...);
+  });
+}
 
 }  // namespace dmm::local

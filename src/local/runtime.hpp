@@ -1,15 +1,12 @@
-// Shared execution runtime for the local engines.
+// Execution runtime for the flat engine: one worker pool plus the spill
+// arenas it feeds.  Every FlatEngine runs on a Runtime — a standalone
+// engine owns a private one sized to its worker count, and many engine
+// sessions (a service, a churn oracle) can share ONE per process:
 //
-// Before this layer existed every FlatEngine owned a private worker pool:
-// constructing an engine spawned threads-1 workers even for a ten-node
-// graph, and N concurrent instances meant N pools fighting over the same
-// cores.  `Runtime` hoists the pool (and the spill arenas it feeds) out of
-// the engine so that many engine sessions share ONE pool per process:
-//
-//   * the pool is spawned lazily, on the first parallel phase any borrowing
-//     engine runs — a process that only ever runs serial sessions spawns
-//     nothing, and `pool_spawns()` is the regression gauge that N sessions
-//     spawn it exactly once (tests/test_service.cpp);
+//   * a shared pool is spawned lazily, on the first parallel phase any
+//     borrowing engine runs — a process that only ever runs serial
+//     sessions spawns nothing, and `pool_spawns()` is the regression gauge
+//     that N sessions spawn it exactly once (tests/test_service.cpp);
 //   * a session borrows the runtime for the duration of one round step
 //     (`mutex()`): the send and receive phases of a step share spill-arena
 //     state, so the borrow must span the whole step, not just one phase;
@@ -18,12 +15,12 @@
 //     within it), so per-engine copies would multiply the steady-state
 //     footprint by the session count for no benefit.
 //
-// The pool itself (`WorkerPool`) is the flat engine's persistent
-// phase-dispatch pool, verbatim: threads park on a condition variable
-// between phases, dispatch is a generation counter under one mutex, and the
-// first exception from any worker wins — deliberately boring
-// mutex-and-condvar synchronisation so the ThreadSanitizer CI leg can vouch
-// for the whole stack, scheduler included.
+// The pool itself (`WorkerPool`) is a persistent phase-dispatch pool:
+// threads park on a condition variable between phases, dispatch is a
+// generation counter under one mutex, and the first exception from any
+// worker wins — deliberately boring mutex-and-condvar synchronisation so
+// the ThreadSanitizer CI leg can vouch for the whole stack, scheduler
+// included.
 #pragma once
 
 #include <condition_variable>

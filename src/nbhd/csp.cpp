@@ -299,7 +299,7 @@ Problem build_problem(std::vector<Mask> domains, int k,
   }
 
   Mask all_colours = 0;
-  for (Colour c = 1; c <= k; ++c) all_colours |= Mask{1} << c;
+  for (int c = 1; c <= k; ++c) all_colours |= Mask{1} << c;
   problem.wiped_out = !arc_consistency(problem, all_colours);
   return problem;
 }

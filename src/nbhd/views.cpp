@@ -22,7 +22,7 @@ namespace {
 /// catalogue is defined by (lexicographic over the ascending colour pool).
 void subsets(int k, int count, Colour forced, std::vector<std::vector<Colour>>& out) {
   std::vector<Colour> pool;
-  for (Colour c = 1; c <= k; ++c) {
+  for (int c = 1; c <= k; ++c) {
     if (c != forced) pool.push_back(c);
   }
   const int pick = forced == gk::kNoColour ? count : count - 1;
@@ -75,7 +75,7 @@ void for_each_view(int k, int d, int rho, int max_views,
   // Child option lists per parent colour, with the parent colour removed
   // (it names the upward edge): the remaining d-1 downward colours.
   std::vector<std::vector<std::vector<Colour>>> child_options(static_cast<std::size_t>(k) + 1);
-  for (Colour p = 1; p <= k; ++p) {
+  for (int p = 1; p <= k; ++p) {
     std::vector<std::vector<Colour>> with;
     subsets(k, d, p, with);
     for (auto& s : with) {
@@ -209,7 +209,7 @@ std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
   std::vector<std::uint8_t> buf;
   for (int a = 0; a < n; ++a) {
     const ColourSystem& view = catalogue.views[static_cast<std::size_t>(a)];
-    for (Colour c = 1; c <= k; ++c) {
+    for (int c = 1; c <= k; ++c) {
       const colsys::NodeId child = view.child(ColourSystem::root(), c);
       if (child == colsys::kNullNode) continue;
       buf.clear();
@@ -225,7 +225,7 @@ std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
   }
   std::vector<CompatiblePair> out;
   for (int a = 0; a < n; ++a) {
-    for (Colour c = 1; c <= k; ++c) {
+    for (int c = 1; c <= k; ++c) {
       const colsys::ViewId ha = across.get(a, c);
       if (ha == colsys::kUncachedView) continue;
       const colsys::ViewId want = remainder.get(a, c);
@@ -239,7 +239,7 @@ std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
       for (auto bi = std::lower_bound(bucket.begin(), bucket.end(), a); bi != bucket.end();
            ++bi) {
         if (remainder.get(*bi, c) == ha && across.get(*bi, c) == want) {
-          out.push_back({a, *bi, c});
+          out.push_back({a, *bi, static_cast<Colour>(c)});
         }
       }
     }
@@ -552,7 +552,7 @@ OrbitGenStats orderly_orbit_reps(int k, int d, int rho,
   std::vector<std::vector<Colour>> root_options;
   subsets(k, d, gk::kNoColour, root_options);
   std::vector<std::vector<std::vector<Colour>>> child_options(static_cast<std::size_t>(k) + 1);
-  for (Colour p = 1; p <= k; ++p) {
+  for (int p = 1; p <= k; ++p) {
     std::vector<std::vector<Colour>> with;
     subsets(k, d, p, with);
     for (auto& s : with) {
@@ -720,7 +720,7 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
       coset_canon.push_back(std::move(table));
     }
     const ColourPerm lift = colsys::inverse_perm(witness);
-    for (Colour c = 1; c <= k; ++c) ref.lift[c] = lift[c];
+    for (int c = 1; c <= k; ++c) ref.lift[c] = lift[c];
     return ref;
   };
   // Per (orbit, colour): the two half references of the representative.
@@ -729,7 +729,7 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
   std::vector<std::uint8_t> buf;
   for (int o = 0; o < orbit_count; ++o) {
     const ColourSystem& rep = catalogue.reps[static_cast<std::size_t>(o)];
-    for (Colour a = 1; a <= k; ++a) {
+    for (int a = 1; a <= k; ++a) {
       const colsys::NodeId child = rep.child(ColourSystem::root(), a);
       if (child == colsys::kNullNode) continue;
       const std::size_t slot = static_cast<std::size_t>(o) * k + (a - 1);
@@ -780,8 +780,8 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
   Colour sigma_inv[colsys::kMaxOrbitColours + 1];
   for (int o = 0; o < orbit_count; ++o) {
     for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
-      for (Colour c = 1; c <= k; ++c) sigma_inv[sigma[c]] = c;
-      for (Colour c = 1; c <= k; ++c) {
+      for (int c = 1; c <= k; ++c) sigma_inv[sigma[c]] = c;
+      for (int c = 1; c <= k; ++c) {
         const Colour a = sigma_inv[c];
         const std::size_t rep_slot = static_cast<std::size_t>(o) * k + (a - 1);
         if (across_ref[rep_slot].id == colsys::kNullView) continue;
@@ -797,7 +797,7 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
   }
   std::vector<CompatiblePair> out;
   for (int a = 0; a < static_cast<int>(n); ++a) {
-    for (Colour c = 1; c <= k; ++c) {
+    for (int c = 1; c <= k; ++c) {
       const std::size_t slot = static_cast<std::size_t>(a) * k + (c - 1);
       const std::int32_t ha = across_enc[slot];
       if (ha < 0) continue;
@@ -811,7 +811,7 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
            ++bi) {
         const std::size_t bslot = static_cast<std::size_t>(*bi) * k + (c - 1);
         if (remainder_enc[bslot] == ha && across_enc[bslot] == want) {
-          out.push_back({a, *bi, c});
+          out.push_back({a, *bi, static_cast<Colour>(c)});
         }
       }
     }

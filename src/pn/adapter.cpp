@@ -6,6 +6,41 @@
 
 namespace dmm::pn {
 
+namespace {
+
+/// Outbox over the PN send map: local port p is PN port p+1.
+class PnOutbox final : public local::Outbox {
+ public:
+  PnOutbox(const std::vector<gk::Colour>& row, std::map<Port, Message>& out) : out_(out) {
+    colours_ = row.data();
+    count_ = static_cast<int>(row.size());
+  }
+
+ private:
+  void write(int port, std::string_view bytes) override { out_[port + 1] = Message(bytes); }
+
+  std::map<Port, Message>& out_;
+};
+
+/// Inbox over the PN receive map; a missing port reads as empty.
+class PnInbox final : public local::Inbox {
+ public:
+  PnInbox(const std::vector<gk::Colour>& row, const std::map<Port, Message>& in) : in_(in) {
+    colours_ = row.data();
+    count_ = static_cast<int>(row.size());
+  }
+
+ private:
+  std::string_view read(int port) const override {
+    const auto it = in_.find(port + 1);
+    return it == in_.end() ? std::string_view() : std::string_view(it->second);
+  }
+
+  const std::map<Port, Message>& in_;
+};
+
+}  // namespace
+
 ColouredAdapter::ColouredAdapter(std::unique_ptr<local::NodeProgram> inner,
                                  std::vector<gk::Colour> incident)
     : inner_(std::move(inner)), incident_(std::move(incident)) {}
@@ -14,25 +49,18 @@ bool ColouredAdapter::init(int degree) {
   if (degree != static_cast<int>(incident_.size())) {
     throw std::logic_error("ColouredAdapter: degree does not match the colour labels");
   }
-  return inner_->init(incident_);
+  return inner_->init(incident_.data(), degree);
 }
 
 std::map<Port, Message> ColouredAdapter::send(int round) {
   std::map<Port, Message> out;
-  for (auto& [colour, msg] : inner_->send(round)) {
-    for (std::size_t i = 0; i < incident_.size(); ++i) {
-      if (incident_[i] == colour) out[static_cast<Port>(i + 1)] = std::move(msg);
-    }
-  }
+  PnOutbox box(incident_, out);
+  inner_->send(round, box);
   return out;
 }
 
 bool ColouredAdapter::receive(int round, const std::map<Port, Message>& inbox) {
-  std::map<gk::Colour, local::Message> translated;
-  for (const auto& [port, msg] : inbox) {
-    translated[incident_[static_cast<std::size_t>(port - 1)]] = msg;
-  }
-  return inner_->receive(round, translated);
+  return inner_->receive(round, PnInbox(incident_, inbox));
 }
 
 PnOutput ColouredAdapter::output() const {
@@ -55,14 +83,14 @@ std::map<Port, Message> ProposalProgram::send(int round) {
     // Whites propose on odd rounds, one untried port at a time.
     if (round % 2 == 1 && matched_port_ == kPnUnmatched && pending_proposal_ == 0 &&
         next_proposal_ <= degree_) {
-      out[next_proposal_] = "P";
+      out.emplace(next_proposal_, "P");
       pending_proposal_ = next_proposal_;
       ++next_proposal_;
     }
   } else {
     // Blacks reply on even rounds: one accept, at most once.
     if (round % 2 == 0 && accepted_someone_ && matched_port_ != kPnUnmatched) {
-      out[matched_port_] = "A";
+      out.emplace(matched_port_, "A");
     }
   }
   return out;

@@ -3,9 +3,10 @@
 // The edge-coloured model is the PN model plus edge-colour input labels:
 // with PortNetwork::from_coloured the ports at each node enumerate the
 // incident colours in increasing order, so a coloured NodeProgram can run
-// unchanged once each node is told its incident colours.  This is the
-// reduction behind §1.4's remark that the paper's lower bound covers the
-// port-numbering model and its weaker variants.
+// unchanged once each node is told its incident colours — its local port
+// p is PN port p+1.  This is the reduction behind §1.4's remark that the
+// paper's lower bound covers the port-numbering model and its weaker
+// variants.
 #pragma once
 
 #include <memory>
@@ -17,7 +18,8 @@ namespace dmm::pn {
 
 /// Runs a coloured-model program as a PN program.  `incident` is the
 /// node's input label: its incident colours, sorted — matching the port
-/// order of PortNetwork::from_coloured.
+/// order of PortNetwork::from_coloured.  The program's Outbox and Inbox
+/// are views of the PN message maps, shifted by one port.
 class ColouredAdapter final : public PnProgram {
  public:
   ColouredAdapter(std::unique_ptr<local::NodeProgram> inner, std::vector<gk::Colour> incident);
@@ -29,7 +31,7 @@ class ColouredAdapter final : public PnProgram {
 
  private:
   std::unique_ptr<local::NodeProgram> inner_;
-  std::vector<gk::Colour> incident_;  // port p <-> incident_[p-1]
+  std::vector<gk::Colour> incident_;  // local port p = PN port p+1
 };
 
 /// Runs the coloured greedy algorithm on a coloured instance *through the

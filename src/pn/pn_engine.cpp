@@ -4,7 +4,7 @@
 
 namespace dmm::pn {
 
-PnRunResult run_pn(const PortNetwork& net, const PnProgramFactory& factory, int max_rounds,
+PnRunResult run_pn(const PortNetwork& net, const PnFactory& factory, int max_rounds,
                    bool broadcast) {
   const int n = net.node_count();
   PnRunResult result;
@@ -58,8 +58,9 @@ PnRunResult run_pn(const PortNetwork& net, const PnProgramFactory& factory, int 
       for (Port p = 1; p <= net.degree(v); ++p) {
         const PortNetwork::End e = net.endpoint(v, p);
         if (halted[static_cast<std::size_t>(e.node)]) {
-          inboxes[static_cast<std::size_t>(v)][p] =
-              "!" + std::to_string(result.outputs[static_cast<std::size_t>(e.node)]);
+          Message& announcement = inboxes[static_cast<std::size_t>(v)][p];
+          announcement = '!';
+          announcement += std::to_string(result.outputs[static_cast<std::size_t>(e.node)]);
         } else {
           const auto it = outgoing[static_cast<std::size_t>(e.node)].find(e.port);
           inboxes[static_cast<std::size_t>(v)][p] =
@@ -108,7 +109,7 @@ bool pn_matching_valid(const PortNetwork& net, const std::vector<PnOutput>& outp
   return true;
 }
 
-bool pn_symmetry_defeats(const PnProgramFactory& factory, int cycle_size, int max_rounds) {
+bool pn_symmetry_defeats(const PnFactory& factory, int cycle_size, int max_rounds) {
   const PortNetwork net = PortNetwork::symmetric_cycle(cycle_size);
   PnRunResult run;
   try {

@@ -35,7 +35,7 @@ class PnProgram {
   virtual PnOutput output() const = 0;
 };
 
-using PnProgramFactory = std::function<std::unique_ptr<PnProgram>()>;
+using PnFactory = std::function<std::unique_ptr<PnProgram>()>;
 
 struct PnRunResult {
   std::vector<PnOutput> outputs;
@@ -49,7 +49,7 @@ struct PnRunResult {
 
 /// Runs the PN engine.  If `broadcast` is true, throws if any node tries
 /// to send different messages on different ports.
-PnRunResult run_pn(const PortNetwork& net, const PnProgramFactory& factory, int max_rounds,
+PnRunResult run_pn(const PortNetwork& net, const PnFactory& factory, int max_rounds,
                    bool broadcast = false);
 
 /// Checks the §2.4 conditions translated to ports: matched ports pair up
@@ -60,6 +60,6 @@ bool pn_matching_valid(const PortNetwork& net, const std::vector<PnOutput>& outp
 /// algorithm produces uniform outputs, and uniform outputs are never a
 /// valid maximal matching (all-⊥ is not maximal; "everyone matches port p"
 /// is inconsistent).  Returns true iff the algorithm indeed failed there.
-bool pn_symmetry_defeats(const PnProgramFactory& factory, int cycle_size, int max_rounds);
+bool pn_symmetry_defeats(const PnFactory& factory, int cycle_size, int max_rounds);
 
 }  // namespace dmm::pn

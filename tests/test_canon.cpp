@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <unordered_set>
 
 #include "algo/greedy.hpp"
 #include "algo/truncated_greedy.hpp"
@@ -106,7 +106,7 @@ nbhd::ViewCatalogue reference_enumerate_views(int k, int d, int rho) {
     }
     frontier = std::move(next);
   }
-  std::set<std::vector<std::uint8_t>> seen;
+  std::unordered_set<std::vector<std::uint8_t>, colsys::SerialisationHash> seen;
   for (ColourSystem& view : frontier) {
     if (seen.insert(view.serialize(rho)).second) {
       catalogue.views.push_back(std::move(view));

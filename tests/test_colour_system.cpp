@@ -25,6 +25,11 @@ ColourSystem random_system(Rng& rng, int k, int target) {
   return out;
 }
 
+TEST(ColourSystem, RejectsPalettesBeyondEightBits) {
+  EXPECT_NO_THROW(colsys::ColourSystem(255, 1));
+  EXPECT_THROW(colsys::ColourSystem(256, 1), std::invalid_argument);
+}
+
 TEST(ColourSystem, SingletonBasics) {
   ColourSystem z(4);
   EXPECT_EQ(z.size(), 1);

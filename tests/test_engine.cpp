@@ -1,9 +1,13 @@
-// The synchronous message-passing engine: halting, rounds, announcements.
+// The synchronous message-passing engine: halting, rounds, announcements,
+// and the port ABI's typed errors on every engine.
 #include "local/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "local/flat_engine.hpp"
+#include "local/program_pool.hpp"
+#include "pn/adapter.hpp"
 
 namespace dmm::local {
 namespace {
@@ -11,12 +15,12 @@ namespace {
 /// Halts immediately with output = smallest incident colour (or ⊥).
 class HaltAtInit final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    out_ = incident.empty() ? kUnmatched : incident.front();
+  bool init(const Colour* incident, int degree) override {
+    out_ = degree == 0 ? kUnmatched : incident[0];
     return true;
   }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return out_; }
 
  private:
@@ -27,22 +31,22 @@ class HaltAtInit final : public NodeProgram {
 class HaltAfter final : public NodeProgram {
  public:
   explicit HaltAfter(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>&) override { return remaining_ == 0; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return --remaining_ == 0; }
+  bool init(const Colour*, int) override { return remaining_ == 0; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return --remaining_ == 0; }
   Colour output() const override { return kUnmatched; }
 
  private:
   int remaining_;
 };
 
-/// Halts after the first exchange; remembers what it heard.
+/// Halts after the first exchange; remembers what it heard on port 0.
 class Listener final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>& inbox) override {
-    last_heard = inbox.empty() ? Message{} : inbox.begin()->second;
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox& in) override {
+    last_heard = in.ports() == 0 ? Message{} : Message(in.at(0));
     return true;
   }
   Colour output() const override { return kUnmatched; }
@@ -53,7 +57,7 @@ Message Listener::last_heard;
 
 TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAtInit>(); }, 10);
+  const RunResult r = run_sync(g, pooled<HaltAtInit>(), 10);
   EXPECT_EQ(r.rounds, 0);
   EXPECT_EQ(r.outputs[0], 1);
   EXPECT_EQ(r.outputs[1], 1);
@@ -63,19 +67,16 @@ TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
 
 TEST(Engine, RunningTimeIsMaxHaltRound) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(3); }, 10);
+  const RunResult r = run_sync(g, pooled<HaltAfter>(3), 10);
   EXPECT_EQ(r.rounds, 3);
 }
 
 TEST(Engine, MixedHaltRoundsReported) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  int counter = 0;
-  const RunResult r = run_sync(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        return std::make_unique<HaltAfter>(counter++);
-      },
-      10);
+  const ProgramSource halt_at_index([](std::size_t count, ProgramPool& pool) {
+    for (std::size_t v = 0; v < count; ++v) pool.emplace<HaltAfter>(static_cast<int>(v));
+  });
+  const RunResult r = run_sync(g, halt_at_index, 10);
   EXPECT_EQ(r.halt_round[0], 0);
   EXPECT_EQ(r.halt_round[1], 1);
   EXPECT_EQ(r.halt_round[2], 2);
@@ -84,59 +85,66 @@ TEST(Engine, MixedHaltRoundsReported) {
 
 TEST(Engine, ThrowsIfAlgorithmNeverHalts) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<HaltAfter>(100); }, 5),
-               std::runtime_error);
+  EXPECT_THROW(run_sync(g, pooled<HaltAfter>(100), 5), std::runtime_error);
 }
 
 TEST(Engine, IsolatedNodesHaltImmediately) {
   const graph::EdgeColouredGraph g(4, 2);  // no edges
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(0); }, 10);
+  const RunResult r = run_sync(g, pooled<HaltAfter>(0), 10);
   EXPECT_EQ(r.rounds, 0);
 }
 
-/// Misbehaving program: sends messages for colours it does not have.
-class RogueSender final : public NodeProgram {
+/// Misbehaving program: touches a port outside its row, once.
+enum class Overrun { kSetPastEnd, kSetNegative, kReadPastEnd, kReadNegative };
+
+class PortOverrun final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
+  explicit PortOverrun(Overrun how) : how_(how) {}
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox& out) override {
+    if (how_ == Overrun::kSetPastEnd) out.set(out.ports(), "x");
+    if (how_ == Overrun::kSetNegative) out.set(-1, "x");
   }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    for (Colour c = 1; c <= 9; ++c) out[c] = "spam";  // mostly non-incident
-    return out;
-  }
-  bool receive(int, const std::map<Colour, Message>& inbox) override {
-    received_count = inbox.size();
+  bool receive(int, const Inbox& in) override {
+    if (how_ == Overrun::kReadPastEnd) (void)in.at(in.ports());
+    if (how_ == Overrun::kReadNegative) (void)in.at(-1);
     return true;
   }
   Colour output() const override { return kUnmatched; }
-  static std::size_t received_count;
 
  private:
-  std::vector<Colour> incident_;
+  Overrun how_;
 };
-std::size_t RogueSender::received_count = 0;
 
-TEST(Engine, FailureInjectionRogueSendsAreIgnored) {
-  // A program writing to non-incident colours cannot corrupt anyone: the
-  // engine only ever routes messages along real edges.
-  graph::EdgeColouredGraph g(2, 9);
-  g.add_edge(0, 1, 3);
-  const RunResult r = run_sync(g, [] { return std::make_unique<RogueSender>(); }, 10);
-  EXPECT_EQ(r.rounds, 1);
-  // Each node received exactly one message (its single incident colour).
-  EXPECT_EQ(RogueSender::received_count, 1u);
+TEST(Engine, PortOutsideTheRowIsATypedErrorOnEveryPath) {
+  // The port ABI has no way to address a non-incident edge: a port outside
+  // [0, ports()) is std::out_of_range on the oracle, on the flat plane
+  // (serial and pooled) and through the PN adapter alike.
+  const graph::EdgeColouredGraph g = graph::worst_case_chain(4).long_path;
+  FlatEngineOptions threaded;
+  threaded.threads = 3;
+  for (const Overrun how : {Overrun::kSetPastEnd, Overrun::kSetNegative, Overrun::kReadPastEnd,
+                            Overrun::kReadNegative}) {
+    const ProgramSource source = pooled<PortOverrun>(how);
+    EXPECT_THROW(run_sync(g, source, 10), std::out_of_range);
+    EXPECT_THROW(run_flat(g, source, 10), std::out_of_range);
+    EXPECT_THROW(run_flat(g, source, 10, threaded), std::out_of_range);
+    graph::NodeIndex next = 0;
+    const pn::PnFactory adapted = [&]() -> std::unique_ptr<pn::PnProgram> {
+      const graph::NodeIndex v = next++;
+      return std::make_unique<pn::ColouredAdapter>(std::make_unique<PortOverrun>(how),
+                                                   g.incident_colours(v));
+    };
+    EXPECT_THROW(pn::run_pn(pn::PortNetwork::from_coloured(g), adapted, 10), std::out_of_range);
+  }
 }
 
 /// Misbehaving program: throws during a round.
 class Thrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override {
-    throw std::runtime_error("node crashed");
-  }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox&) override { throw std::runtime_error("node crashed"); }
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 };
 
@@ -145,7 +153,7 @@ TEST(Engine, FailureInjectionExceptionsPropagate) {
   // an exception rather than a silently wrong result.
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Thrower>(); }, 10),
+  EXPECT_THROW(run_sync(g, pooled<Thrower>(), 10),
                std::runtime_error);
 }
 
@@ -153,8 +161,7 @@ TEST(Engine, MessageAccounting) {
   // Greedy uses constant-size messages (the remark after Theorem 2): one
   // byte of status per edge per round.
   const graph::EdgeColouredGraph g = graph::worst_case_chain(8).long_path;
-  const RunResult r = run_sync(
-      g, [] { return std::make_unique<HaltAfter>(2); }, 10);
+  const RunResult r = run_sync(g, pooled<HaltAfter>(2), 10);
   EXPECT_EQ(r.max_message_bytes, 0u);  // HaltAfter sends empty messages
   EXPECT_EQ(r.total_message_bytes, 0u);
 }
@@ -162,15 +169,12 @@ TEST(Engine, MessageAccounting) {
 TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
   graph::EdgeColouredGraph g(2, 1);
   g.add_edge(0, 1, 1);
-  int counter = 0;
   Listener::last_heard.clear();
-  const RunResult r = run_sync(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        if (counter++ == 0) return std::make_unique<HaltAtInit>();
-        return std::make_unique<Listener>();
-      },
-      10);
+  const ProgramSource halter_then_listener([](std::size_t, ProgramPool& pool) {
+    pool.emplace<HaltAtInit>();
+    pool.emplace<Listener>();
+  });
+  const RunResult r = run_sync(g, halter_then_listener, 10);
   EXPECT_EQ(r.rounds, 1);
   // The listener received the halted-announcement of output 1.
   EXPECT_EQ(Listener::last_heard, std::string(1, kHaltedPrefix) + "1");

@@ -11,7 +11,10 @@
 // if any lemma were implemented wrongly, some table would slip through.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "algo/zero_round_table.hpp"
+#include "colsys/canon.hpp"
 #include "lower/adversary.hpp"
 
 namespace dmm::lower {
@@ -25,7 +28,7 @@ TEST(Exhaustive, CountFormula) {
 
 TEST(Exhaustive, EnumerationIsValidAndDistinct) {
   const std::uint64_t total = algo::zero_round_algorithm_count(3);
-  std::set<std::vector<gk::Colour>> seen;
+  std::unordered_set<std::vector<gk::Colour>, colsys::SerialisationHash> seen;
   for (std::uint64_t i = 0; i < total; ++i) {
     const algo::ZeroRoundTable a = algo::make_zero_round_algorithm(3, i);
     EXPECT_TRUE(seen.insert(a.table()).second) << "duplicate at index " << i;

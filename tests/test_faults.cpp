@@ -33,11 +33,22 @@
 #include "local/checkpoint.hpp"
 #include "local/flat_engine.hpp"
 #include "local/flooding.hpp"
+#include "local/program_pool.hpp"
 #include "lower/adversary.hpp"
 #include "util/rng.hpp"
 
 namespace dmm::local {
 namespace {
+
+/// A run of at most `max_rounds` rounds under `plan` (nullptr: fault-free),
+/// optionally checkpointed.
+RunOptions under(int max_rounds, const FaultPlan* plan,
+                 const CheckpointOptions& checkpoint = {}) {
+  RunOptions options(max_rounds);
+  options.faults.plan = plan;
+  options.checkpoint = checkpoint;
+  return options;
+}
 
 // --- fault-plan plumbing ------------------------------------------------
 
@@ -144,14 +155,16 @@ TEST(Faults, PermanentCrashRemovesNodeFromTheRun) {
   FaultPlan plan;
   plan.add_crash(2, 1, 0);  // node 2, round 1, permanent
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 32, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), under(32, &plan));
     EXPECT_EQ(r.crashes, 1u) << engine_kind_name(kind);
     EXPECT_EQ(r.restarts, 0u) << engine_kind_name(kind);
     EXPECT_EQ(r.outputs[2], kUnmatched) << engine_kind_name(kind);
     EXPECT_EQ(r.halt_round[2], -1) << engine_kind_name(kind);
     // Everyone else still halts with a recorded round.
     for (std::size_t v = 0; v < r.outputs.size(); ++v) {
-      if (v != 2) EXPECT_GE(r.halt_round[v], 0) << engine_kind_name(kind) << " node " << v;
+      if (v != 2) {
+        EXPECT_GE(r.halt_round[v], 0) << engine_kind_name(kind) << " node " << v;
+      }
     }
   }
 }
@@ -161,7 +174,7 @@ TEST(Faults, TemporaryCrashRestartsAndHalts) {
   FaultPlan plan;
   plan.add_crash(2, 1, 2);  // down rounds 1-2, restarts at 3
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 32, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), under(32, &plan));
     EXPECT_EQ(r.crashes, 1u) << engine_kind_name(kind);
     EXPECT_EQ(r.restarts, 1u) << engine_kind_name(kind);
     EXPECT_GE(r.halt_round[2], 0) << engine_kind_name(kind);  // came back and finished
@@ -178,7 +191,7 @@ TEST(Faults, CrashOnHaltedNodeIsANoOp) {
   plan.add_crash(0, 3, 1);
   const RunResult clean = run_sync(g, algo::greedy_program_factory(), 8);
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 8, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), under(8, &plan));
     EXPECT_EQ(r.crashes, 0u) << engine_kind_name(kind);
     expect_same_result(clean, r, std::string("halted-crash no-op ") + engine_kind_name(kind));
   }
@@ -189,9 +202,9 @@ TEST(Faults, EventOutsideTheGraphIsRejected) {
   g.add_edge(0, 1, 1);
   FaultPlan plan;
   plan.add_crash(5, 1, 1);  // node 5 of a 2-node graph
-  EXPECT_THROW(run_sync(g, algo::greedy_program_factory(), 8, FaultOptions{&plan}),
+  EXPECT_THROW(run_sync(g, algo::greedy_program_factory(), under(8, &plan)),
                std::invalid_argument);
-  EXPECT_THROW(run_flat(g, algo::greedy_program_factory(), 8, {}, FaultOptions{&plan}),
+  EXPECT_THROW(run_flat(g, algo::greedy_program_factory(), under(8, &plan)),
                std::invalid_argument);
 }
 
@@ -201,9 +214,9 @@ TEST(Faults, EmptyPlanEqualsFaultFreeRun) {
   const FaultPlan empty;
   const RunResult clean = run_sync(g, algo::greedy_program_factory(), 8);
   expect_same_result(clean,
-                     run_sync(g, algo::greedy_program_factory(), 8, FaultOptions{&empty}),
+                     run_sync(g, algo::greedy_program_factory(), under(8, &empty)),
                      "empty plan sync");
-  expect_same_result(clean, run_flat(g, algo::greedy_program_factory(), 8, {}, FaultOptions{&empty}),
+  expect_same_result(clean, run_flat(g, algo::greedy_program_factory(), under(8, &empty)),
                      "empty plan flat");
   EXPECT_EQ(clean.crashes, 0u);
   EXPECT_EQ(clean.messages_dropped, 0u);
@@ -231,14 +244,14 @@ std::vector<FlatEngineOptions> schedule_grid() {
 void expect_engines_agree_under(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                                 int max_rounds, const FaultPlan& plan,
                                 const std::string& context) {
-  const RunResult oracle = run_sync(g, source, max_rounds, FaultOptions{&plan});
+  const RunResult oracle = run_sync(g, source, under(max_rounds, &plan));
   int schedule = 0;
   for (const FlatEngineOptions& options : schedule_grid()) {
-    expect_same_result(oracle, run_flat(g, source, max_rounds, options, FaultOptions{&plan}),
+    expect_same_result(oracle, run_flat(g, source, under(max_rounds, &plan), options),
                        context + " [schedule " + std::to_string(schedule++) + "]");
   }
   // Determinism: the oracle agrees with itself on a second run.
-  expect_same_result(oracle, run_sync(g, source, max_rounds, FaultOptions{&plan}),
+  expect_same_result(oracle, run_sync(g, source, under(max_rounds, &plan)),
                      context + " [repeat]");
 }
 
@@ -281,9 +294,9 @@ TEST(Faults, EnginesAgreeWhenEverythingDrops) {
   const graph::EdgeColouredGraph g = graph::worst_case_chain(3).long_path;
   FaultPlan plan;
   plan.set_drops(1.0, 1);
-  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 64, FaultOptions{&plan});
+  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), under(64, &plan));
   EXPECT_GT(oracle.messages_dropped, 0u);
-  expect_same_result(oracle, run_flat(g, algo::greedy_program_factory(), 64, {}, FaultOptions{&plan}),
+  expect_same_result(oracle, run_flat(g, algo::greedy_program_factory(), under(64, &plan)),
                      "total blackout");
 }
 
@@ -301,7 +314,7 @@ CapturedRun run_with_checkpoints(EngineKind kind, const graph::EdgeColouredGraph
   CheckpointOptions every_round;
   every_round.every = 1;
   every_round.sink = [&](const EngineCheckpoint& cp) { captured.checkpoints.push_back(cp); };
-  captured.clean = run(kind, g, source, max_rounds, FaultOptions{plan}, every_round);
+  captured.clean = run(kind, g, source, under(max_rounds, plan, every_round));
   return captured;
 }
 
@@ -327,17 +340,17 @@ void expect_resume_equivalence(const graph::EdgeColouredGraph& g, const ProgramS
 
     CheckpointOptions resume;
     resume.resume = &restored;
-    expect_same_result(sync_run.clean, run_sync(g, source, max_rounds, FaultOptions{plan}, resume),
+    expect_same_result(sync_run.clean, run_sync(g, source, under(max_rounds, plan, resume)),
                        at + " sync→sync");
     expect_same_result(sync_run.clean,
-                       run_flat(g, source, max_rounds, {}, FaultOptions{plan}, resume),
+                       run_flat(g, source, under(max_rounds, plan, resume)),
                        at + " sync→flat");
 
     // Flat-captured checkpoint back into the sync oracle.
     CheckpointOptions resume_flat;
     resume_flat.resume = &flat_run.checkpoints[i];
     expect_same_result(sync_run.clean,
-                       run_sync(g, source, max_rounds, FaultOptions{plan}, resume_flat),
+                       run_sync(g, source, under(max_rounds, plan, resume_flat)),
                        at + " flat→sync");
   }
 }
@@ -393,7 +406,7 @@ TEST(Checkpoint, FlatEngineObjectCheckpointStream) {
   std::stringstream bytes;
   int captured_round = 0;
   {
-    FlatEngine engine(g, source, 16, {});
+    FlatEngine engine(g, source);
     CheckpointOptions opts;
     opts.every = 2;
     opts.sink = [&](const EngineCheckpoint& cp) {
@@ -403,15 +416,15 @@ TEST(Checkpoint, FlatEngineObjectCheckpointStream) {
         captured_round = cp.round;
       }
     };
-    expect_same_result(clean, engine.run(FaultOptions{}, opts), "checkpointed run");
+    expect_same_result(clean, engine.run(under(16, nullptr, opts)), "checkpointed run");
   }
   ASSERT_EQ(captured_round, 2);
 
   FlatEngineOptions threaded;
   threaded.threads = 3;
-  FlatEngine resumed(g, source, 16, threaded);
+  FlatEngine resumed(g, source, threaded);
   resumed.restore(bytes);
-  expect_same_result(clean, resumed.run(), "restored engine");
+  expect_same_result(clean, resumed.run(16), "restored engine");
 }
 
 TEST(Checkpoint, SinkFiresOnTheRequestedCadence) {
@@ -420,7 +433,7 @@ TEST(Checkpoint, SinkFiresOnTheRequestedCadence) {
   CheckpointOptions opts;
   opts.every = 2;
   opts.sink = [&](const EngineCheckpoint& cp) { rounds.push_back(cp.round); };
-  const RunResult r = run_sync(g, algo::greedy_program_factory(), 16, FaultOptions{}, opts);
+  const RunResult r = run_sync(g, algo::greedy_program_factory(), under(16, nullptr, opts));
   ASSERT_FALSE(rounds.empty());
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     EXPECT_EQ(rounds[i], 2 * static_cast<int>(i + 1));
@@ -461,11 +474,11 @@ TEST(Checkpoint, WrongInstanceIsRejected) {
   const graph::EdgeColouredGraph other = graph::worst_case_chain(4).short_path;
   CheckpointOptions resume;
   resume.resume = &captured.checkpoints.front();
-  EXPECT_THROW(run_sync(other, algo::greedy_program_factory(), 16, FaultOptions{}, resume),
+  EXPECT_THROW(run_sync(other, algo::greedy_program_factory(), under(16, nullptr, resume)),
                CheckpointError);
   EXPECT_THROW(
       {
-        FlatEngine engine(other, algo::greedy_program_factory(), 16, {});
+        FlatEngine engine(other, algo::greedy_program_factory());
         engine.restore(captured.checkpoints.front());
       },
       CheckpointError);
@@ -474,9 +487,9 @@ TEST(Checkpoint, WrongInstanceIsRejected) {
 /// Runs forever-ish with no save_state override.
 class Oblivious final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int round, const std::map<Colour, Message>&) override { return round >= 4; }
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox&) override {}
+  bool receive(int round, const Inbox&) override { return round >= 4; }
   Colour output() const override { return kUnmatched; }
 };
 
@@ -486,10 +499,8 @@ TEST(Checkpoint, ProgramWithoutSaveStateFailsLoudly) {
   CheckpointOptions opts;
   opts.every = 1;
   opts.sink = [](const EngineCheckpoint&) {};
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Oblivious>(); }, 16, FaultOptions{}, opts),
-               std::logic_error);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Oblivious>(); }, 16, {}, FaultOptions{}, opts),
-               std::logic_error);
+  EXPECT_THROW(run_sync(g, pooled<Oblivious>(), under(16, nullptr, opts)), std::logic_error);
+  EXPECT_THROW(run_flat(g, pooled<Oblivious>(), under(16, nullptr, opts)), std::logic_error);
 }
 
 }  // namespace

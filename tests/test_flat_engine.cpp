@@ -1,6 +1,6 @@
 // Engine equivalence: run_flat is only allowed to exist because it agrees
 // with the reference oracle run_sync on every RunResult field, for every
-// program — the native greedy (with its flat fast path), the flooding
+// program — the native greedy, the flooding
 // realisation of every LocalAlgorithm in src/algo/, and a zoo of
 // misbehaving programs probing the engine edge cases.
 #include "local/flat_engine.hpp"
@@ -15,6 +15,7 @@
 #include "engine_test_util.hpp"
 #include "graph/generators.hpp"
 #include "local/flooding.hpp"
+#include "local/program_pool.hpp"
 #include "local/view_engine.hpp"
 #include "util/rng.hpp"
 
@@ -98,12 +99,12 @@ TEST(FlatEngine, FloodingMatchesViewEngine) {
 /// Halts immediately with output = smallest incident colour (or ⊥).
 class HaltAtInit final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    out_ = incident.empty() ? kUnmatched : incident.front();
+  bool init(const Colour* incident, int degree) override {
+    out_ = degree == 0 ? kUnmatched : incident[0];
     return true;
   }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return out_; }
 
  private:
@@ -114,79 +115,62 @@ class HaltAtInit final : public NodeProgram {
 class HaltAfter final : public NodeProgram {
  public:
   explicit HaltAfter(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>&) override { return remaining_ == 0; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return --remaining_ == 0; }
+  bool init(const Colour*, int) override { return remaining_ == 0; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return --remaining_ == 0; }
   Colour output() const override { return kUnmatched; }
 
  private:
   int remaining_;
 };
 
-/// Sends messages on colours it does not have (they are counted, never
-/// delivered) and a growing payload on the colours it does.
-class RogueGrower final : public NodeProgram {
+/// Sends a payload that grows round over round on every port, crossing
+/// the kFlatInlineBytes boundary: later rounds travel through the spill
+/// arenas.
+class SpillGrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
+  bool init(const Colour*, int) override { return false; }
+  void send(int round, Outbox& out) override {
+    const Message payload(static_cast<std::size_t>(round) * 9, 'x');
+    for (int port = 0; port < out.ports(); ++port) out.set(port, payload);
   }
-  std::map<Colour, Message> send(int round) override {
-    std::map<Colour, Message> out;
-    for (Colour c = 1; c <= 9; ++c) {
-      // Crosses the kFlatInlineBytes boundary round over round: spills.
-      out[c] = Message(static_cast<std::size_t>(round) * 9, 'x');
-    }
-    return out;
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) seen_ += m.size();
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) seen_ += in.at(port).size();
     return round >= 3;
   }
   Colour output() const override { return static_cast<Colour>(seen_ % 5); }
 
  private:
-  std::vector<Colour> incident_;
   std::size_t seen_ = 0;
 };
 
-/// Sends only along its smallest incident colour; other ports stay silent,
-/// so receivers see the engine-synthesised empty message.
+/// Sends only on port 0 (its smallest incident colour); other ports stay
+/// silent, so receivers see the engine-synthesised empty message.
 class PartialSender final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int) override {
-    return {{incident_.front(), "only"}};
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
+  bool init(const Colour*, int degree) override { return degree == 0; }
+  void send(int, Outbox& out) override { out.set(0, "only"); }
+  bool receive(int round, const Inbox& in) override {
     heard_ = 0;
-    for (const auto& [c, m] : inbox) heard_ += m.empty() ? 0 : 1;
+    for (int port = 0; port < in.ports(); ++port) heard_ += in.at(port).empty() ? 0 : 1;
     return round >= 2;
   }
   Colour output() const override { return static_cast<Colour>(heard_); }
 
  private:
-  std::vector<Colour> incident_;
   int heard_ = 0;
 };
 
 TEST(FlatEngine, ProgramZooAgrees) {
   Rng rng(7);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(40, 6, 0.8, rng);
-  expect_engines_agree(g, [] { return std::make_unique<HaltAtInit>(); }, 10, "halt-at-init");
-  int counter = 0;
-  expect_engines_agree(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        return std::make_unique<HaltAfter>(counter++ % 5);
-      },
-      10, "staggered-halts");
-  expect_engines_agree(g, [] { return std::make_unique<RogueGrower>(); }, 10, "rogue-grower");
-  expect_engines_agree(g, [] { return std::make_unique<PartialSender>(); }, 10,
-                       "partial-sender");
+  expect_engines_agree(g, pooled<HaltAtInit>(), 10, "halt-at-init");
+  const ProgramSource staggered([](std::size_t count, ProgramPool& pool) {
+    for (std::size_t v = 0; v < count; ++v) pool.emplace<HaltAfter>(static_cast<int>(v % 5));
+  });
+  expect_engines_agree(g, staggered, 10, "staggered-halts");
+  expect_engines_agree(g, pooled<SpillGrower>(), 10, "spill-grower");
+  expect_engines_agree(g, pooled<PartialSender>(), 10, "partial-sender");
 }
 
 TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {
@@ -198,7 +182,7 @@ TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {
 
 TEST(FlatEngine, ThrowsLikeTheOracleWhenNotHalting) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const auto factory = [] { return std::make_unique<HaltAfter>(100); };
+  const ProgramSource factory = pooled<HaltAfter>(100);
   EXPECT_THROW(run_sync(g, factory, 5), std::runtime_error);
   EXPECT_THROW(run_flat(g, factory, 5), std::runtime_error);
   FlatEngineOptions threaded;
@@ -209,21 +193,19 @@ TEST(FlatEngine, ThrowsLikeTheOracleWhenNotHalting) {
 /// Throws during send — the flat engine must fail fast on any thread.
 class Thrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { throw std::runtime_error("node crashed"); }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox&) override { throw std::runtime_error("node crashed"); }
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 };
 
 TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, 10),
-               std::runtime_error);
+  EXPECT_THROW(run_flat(g, pooled<Thrower>(), 10), std::runtime_error);
   FlatEngineOptions threaded;
   threaded.threads = 2;
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, 10, threaded),
-               std::runtime_error);
+  EXPECT_THROW(run_flat(g, pooled<Thrower>(), 10, threaded), std::runtime_error);
 }
 
 TEST(FlatEngine, RowOffsetsAre64BitSafe) {

@@ -29,6 +29,7 @@
 #include "engine_test_util.hpp"
 #include "graph/generators.hpp"
 #include "local/flat_engine.hpp"
+#include "local/program_pool.hpp"
 #include "util/rng.hpp"
 
 namespace dmm::local {
@@ -116,34 +117,13 @@ TEST(FlatStress, HubClusterPowerLawAgrees) {
 
 /// Broadcasts one byte per round for `rounds` rounds, then halts with the
 /// count of non-empty messages heard (mod 251) — any misdelivered,
-/// dropped or stale-slot-aliased message changes the output.  The flat
-/// overrides avoid building 10⁵-entry std::maps per round, keeping the
-/// n ≈ 10⁵ hot-row case fast on both engines.
+/// dropped or stale-slot-aliased message changes the output.
 class PulseProgram final : public NodeProgram {
  public:
   explicit PulseProgram(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
-  }
-  bool init_flat(const Colour* incident, int degree) override {
-    incident_.assign(incident, incident + degree);
-    return false;
-  }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    const Message pulse(1, 'p');
-    for (Colour c : incident_) out.emplace(c, pulse);
-    return out;
-  }
-  void send_flat(int, FlatOutbox& out) override { out.broadcast("p"); }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      if (!m.empty()) ++heard_;
-    }
-    return round >= remaining_;
-  }
-  bool receive_flat(int round, const FlatInbox& in) override {
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox& out) override { out.broadcast("p"); }
+  bool receive(int round, const Inbox& in) override {
     for (int port = 0; port < in.ports(); ++port) {
       if (!in.at(port).empty()) ++heard_;
     }
@@ -152,7 +132,6 @@ class PulseProgram final : public NodeProgram {
   Colour output() const override { return static_cast<Colour>(heard_ % 251); }
 
  private:
-  std::vector<Colour> incident_;
   int remaining_;
   std::size_t heard_ = 0;
 };
@@ -166,7 +145,7 @@ TEST(FlatStress, HotRowsAtHundredThousandNodes) {
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/390, /*hub_degree=*/255, /*first_colour=*/1);
   EXPECT_EQ(g.node_count(), 99840);
-  const auto factory = [] { return std::make_unique<PulseProgram>(3); };
+  const ProgramSource factory = pooled<PulseProgram>(3);
   const RunResult oracle = run_sync(g, factory, 8);
   EXPECT_EQ(oracle.rounds, 3);
   expect_grid_agrees(g, factory, 8, oracle, full_grid(), "hub_cluster(390,255) pulse");
@@ -191,70 +170,65 @@ TEST(FlatStress, GreedySkewedAtHundredThousandNodes) {
 }
 
 /// Halts after `rounds` rounds; while running, sends its running round
-/// count on its smallest incident colour only (other ports deliberately
-/// silent) and folds everything it hears into a checksum.  With staggered
-/// lifetimes this leaves a mix of halted and running senders across the
-/// 255-round tag-cycle boundaries: a wipe that misses a live row (stale
-/// stamp aliasing a new round) or touches state it should not would
-/// corrupt the checksum of some node.
+/// count on port 0 only (other ports deliberately silent) and folds
+/// everything it hears into a checksum.  With staggered lifetimes this
+/// leaves a mix of halted and running senders across the 255-round
+/// tag-cycle boundaries: a wipe that misses a live row (stale stamp
+/// aliasing a new round) or touches state it should not would corrupt the
+/// checksum of some node.
 class StaggeredChirper final : public NodeProgram {
  public:
   explicit StaggeredChirper(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int round) override {
-    return {{incident_.front(), std::to_string(round)}};
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
-      sum_ += c;
+  bool init(const Colour*, int degree) override { return degree == 0; }
+  void send(int round, Outbox& out) override { out.set(0, std::to_string(round)); }
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += in.colour(port);
     }
     return round >= remaining_;
   }
   Colour output() const override { return static_cast<Colour>(sum_ % 255); }
 
  private:
-  std::vector<Colour> incident_;
   int remaining_;
   std::size_t sum_ = 0;
 };
+
+/// A third of the nodes (by index) chirp for 5 rounds, the rest for 600.
+ProgramSource staggered_chirpers() {
+  return ProgramSource([](std::size_t count, ProgramPool& pool) {
+    for (std::size_t v = 0; v < count; ++v) {
+      pool.emplace<StaggeredChirper>(v % 3 == 0 ? 5 : 600);
+    }
+  });
+}
 
 TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
   // Round stamps cycle 1..255, so a 600-round run crosses the wipe twice
   // (rounds 256 and 511).  A third of the nodes halt at round 5 and stay
   // halted through both wipes — their rows must keep serving the cached
-  // announcement while the running rows are re-zeroed.  The legacy
-  // factory's call counter resets modulo n per run, so every engine and
-  // schedule sees the same per-node lifetimes.
+  // announcement while the running rows are re-zeroed.  Lifetimes are
+  // placed by node index, so every engine and schedule sees the same
+  // per-node lifetimes.
   Rng rng(99);
   const int n = 60;
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
-  int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
-    const int i = counter++ % n;
-    return std::make_unique<StaggeredChirper>(i % 3 == 0 ? 5 : 600);
-  };
+  const ProgramSource factory = staggered_chirpers();
   const RunResult oracle = run_sync(g, factory, 601);
   EXPECT_EQ(oracle.rounds, 600);  // crossed both tag cycles
   expect_grid_agrees(g, factory, 601, oracle, full_grid(), "two-tag-cycle chirper");
 }
 
 TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
-  // The structural gauge of the tentpole: the pool is created once in the
+  // The structural gauge of the persistent pool: it is created once in the
   // engine constructor, so threads_spawned is workers − 1 — independent of
   // the round count.  The old engine spawned 2·rounds·(workers−1) threads;
   // on this 600-round run that would have been 7188 with 7 workers.
   Rng rng(7);
   const int n = 60;
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
-  int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
-    const int i = counter++ % n;
-    return std::make_unique<StaggeredChirper>(i % 3 == 0 ? 5 : 600);
-  };
+  const ProgramSource factory = staggered_chirpers();
   for (int threads : {1, 2, 7, 16}) {
     FlatEngineOptions options;
     options.threads = threads;

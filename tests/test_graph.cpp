@@ -45,6 +45,12 @@ TEST(EdgeColouredGraph, RejectsBadColoursAndNodes) {
   EXPECT_THROW(g.degree(-1), std::out_of_range);
 }
 
+TEST(EdgeColouredGraph, RejectsPalettesBeyondEightBits) {
+  EXPECT_NO_THROW(graph::EdgeColouredGraph(2, 255));
+  EXPECT_THROW(graph::EdgeColouredGraph(2, 256), std::invalid_argument);
+  EXPECT_THROW(graph::EdgeColouredGraph(2, 256, {}), std::invalid_argument);
+}
+
 TEST(EdgeColouredGraph, ProperColouringBoundsDegreeByK) {
   EdgeColouredGraph g(10, 3);
   g.add_edge(0, 1, 1);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "local/flat_engine.hpp"
 #include "local/view_engine.hpp"
 #include "verify/matching.hpp"
 
@@ -23,6 +24,25 @@ TEST(Greedy, Figure1Instance) {
   const EdgeColouredGraph g = graph::figure1_graph();
   const std::vector<Colour> outputs = greedy_outputs(g);
   expect_valid_maximal(g, outputs);
+}
+
+TEST(Greedy, FullPaletteOf255Terminates) {
+  // k = 255 is the largest palette a Colour names; an 8-bit loop counter
+  // over 1..k never terminates there.  The reference and both engines
+  // must agree, on a lone colour-255 edge and on hubs using 128..255.
+  EdgeColouredGraph lone(2, 255);
+  lone.add_edge(0, 1, 255);
+  const EdgeColouredGraph hubs = graph::hub_cluster_graph(2, 128, 128);
+  ASSERT_EQ(hubs.k(), 255);
+  const auto expect_engines_match_reference = [](const EdgeColouredGraph& g) {
+    const std::vector<Colour> reference = greedy_outputs(g);
+    expect_valid_maximal(g, reference);
+    EXPECT_EQ(reference, local::run_sync(g, greedy_program_factory(), 256).outputs);
+    EXPECT_EQ(reference, local::run_flat(g, greedy_program_factory(), 256).outputs);
+  };
+  expect_engines_match_reference(lone);
+  expect_engines_match_reference(hubs);
+  EXPECT_EQ(greedy_outputs(lone), (std::vector<Colour>{255, 255}));
 }
 
 TEST(Greedy, ColourClassPriority) {

@@ -14,7 +14,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <unordered_set>
 
 #include "algo/greedy.hpp"
 #include "colsys/canon.hpp"
@@ -28,6 +28,7 @@ namespace {
 using colsys::ColourPerm;
 using colsys::ColourSystem;
 using gk::Colour;
+using ByteSet = std::unordered_set<std::vector<std::uint8_t>, colsys::SerialisationHash>;
 
 // The small-parameter grid (k ≤ 4, ρ ≤ 2 per the canoniser pinning task,
 // plus the ρ = 3 row used by the CSP-level checks).
@@ -151,7 +152,7 @@ TEST(OrbitCanon, InternOrbitDeduplicatesAcrossRelabellings) {
 /// Independent oracle: partition the raw catalogue into orbits by brute
 /// force (k! serialisations per view, set union).
 int brute_force_orbit_count(const nbhd::ViewCatalogue& cat) {
-  std::set<std::vector<std::uint8_t>> reps;
+  ByteSet reps;
   for (const ColourSystem& view : cat.views) {
     reps.insert(brute_force_canonical(view, cat.rho));
   }
@@ -247,7 +248,7 @@ TEST(OrbitCatalogue, ExpansionIsTheRawCatalogueUpToOrder) {
     const nbhd::ViewCatalogue expanded =
         nbhd::expand_catalogue(nbhd::enumerate_orbits(g.k, g.d, g.rho));
     ASSERT_EQ(expanded.size(), raw.size());
-    std::set<std::vector<std::uint8_t>> raw_bytes, expanded_bytes;
+    ByteSet raw_bytes, expanded_bytes;
     for (const ColourSystem& v : raw.views) raw_bytes.insert(v.serialize(g.rho));
     for (const ColourSystem& v : expanded.views) expanded_bytes.insert(v.serialize(g.rho));
     EXPECT_EQ(expanded_bytes, raw_bytes);  // sets equal + sizes equal ⇒ no dup

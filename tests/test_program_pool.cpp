@@ -1,25 +1,17 @@
 // The arena-pooled program path (util::Arena + local::ProgramPool +
-// ProgramFactory) is only allowed to exist because it is observationally
-// identical to the legacy one-unique_ptr-per-node path: this suite runs
-// every registered realisation through both construction paths on both
-// engines and requires every RunResult field to match, and pins the
-// arena's reuse/reset contract (exercised under the ASan+UBSan CI leg,
-// where a double-destroy or a dangling slab pointer would abort).
+// ProgramSource): the arena's alignment, reuse and reset contract, the
+// pool's lifetime contract, and the source's fill checks (exercised under
+// the ASan+UBSan CI leg, where a double-destroy or a dangling slab pointer
+// would abort).  That every realisation gives the same RunResult on both
+// engines is pinned by tests/test_flat_engine.cpp.
 #include "local/program_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "algo/greedy.hpp"
-#include "algo/runner.hpp"
-#include "engine_test_util.hpp"
-#include "graph/generators.hpp"
-#include "local/flat_engine.hpp"
 #include "util/arena.hpp"
-#include "util/rng.hpp"
 
 namespace dmm::local {
 namespace {
@@ -75,22 +67,22 @@ class CountedProgram final : public NodeProgram {
   CountedProgram(const CountedProgram&) = delete;
   CountedProgram& operator=(const CountedProgram&) = delete;
 
-  bool init(const std::vector<Colour>&) override { return true; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(const Colour*, int) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 
  private:
   int* live_;
 };
 
-TEST(ProgramPool, ClearDestroysPooledAndAdoptedPrograms) {
+TEST(ProgramPool, ClearDestroysEveryProgram) {
   int live = 0;
   ProgramPool pool;
   for (int i = 0; i < 10; ++i) pool.emplace<CountedProgram>(&live);
-  pool.adopt(std::make_unique<CountedProgram>(&live));
-  EXPECT_EQ(pool.size(), 11u);
-  EXPECT_EQ(live, 11);
+  pool.emplace_batch<CountedProgram>(3, &live);
+  EXPECT_EQ(pool.size(), 13u);
+  EXPECT_EQ(live, 13);
   pool.clear();
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(live, 0);
@@ -120,48 +112,15 @@ TEST(ProgramSource, EmptySourceThrows) {
   EXPECT_THROW(ProgramSource().build(1, pool), std::logic_error);
 }
 
-// --- pooled vs unique_ptr equivalence fuzz ------------------------------
-// (expect_same_result comes from engine_test_util.hpp, shared with the
-// flat-vs-sync suite so both pin the same definition of equivalence.)
-
-TEST(ProgramPool, PooledMatchesHeapForEveryRealisationAndEngine) {
-  // Every registered algorithm, both engines, both construction paths:
-  // RunResult must be bit-identical.  This is the fuzz suite ISSUE 4 asks
-  // for; ~60 random instances plus the adversarial chains.
-  int checked = 0;
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    Rng rng(seed * 31 + 7);
-    const int n = 2 + static_cast<int>(seed % 23);
-    const int k = 1 + static_cast<int>(seed % 4);
-    const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, k, 0.6, rng);
-    for (const algo::EngineRealisation& r : algo::engine_realisations(k)) {
-      for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-        const std::string context = r.name + " seed=" + std::to_string(seed) +
-                                    " engine=" + engine_kind_name(kind);
-        expect_same_result(run(kind, g, r.factory, r.round_bound),
-                           run(kind, g, ProgramSource(r.heap_factory), r.round_bound),
-                           context);
-        ++checked;
-      }
-    }
-  }
-  EXPECT_GT(checked, 400);
-}
-
-TEST(ProgramPool, PooledMatchesHeapOnWorstCaseChains) {
-  for (int k = 2; k <= 6; ++k) {
-    const graph::WorstCase wc = graph::worst_case_chain(k);
-    for (const graph::EdgeColouredGraph* g : {&wc.long_path, &wc.short_path}) {
-      for (const algo::EngineRealisation& r :
-           algo::engine_realisations(k, /*flood_radius_cap=*/k)) {
-        for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-          expect_same_result(run(kind, *g, r.factory, r.round_bound),
-                             run(kind, *g, ProgramSource(r.heap_factory), r.round_bound),
-                             "chain k=" + std::to_string(k) + " " + r.name);
-        }
-      }
-    }
-  }
+TEST(ProgramSource, ShortFillThrows) {
+  int live = 0;
+  ProgramPool pool;
+  const ProgramSource one_short([&live](std::size_t count, ProgramPool& into) {
+    for (std::size_t v = 0; v + 1 < count; ++v) into.emplace<CountedProgram>(&live);
+  });
+  EXPECT_THROW(one_short.build(4, pool), std::logic_error);
+  pool.clear();
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

@@ -42,8 +42,13 @@ INSTANTIATE_TEST_SUITE_P(
                       InstanceParams{64, 4, 0.5}, InstanceParams{64, 8, 0.9},
                       InstanceParams{128, 5, 0.2}, InstanceParams{128, 10, 0.8}),
     [](const ::testing::TestParamInfo<InstanceParams>& info) {
-      return "n" + std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) + "_d" +
-             std::to_string(static_cast<int>(info.param.density * 10));
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      name += "_d";
+      name += std::to_string(static_cast<int>(info.param.density * 10));
+      return name;
     });
 
 TEST(Anonymity, OutputsInvariantUnderRelabelling) {
