@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -70,13 +71,8 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
 
   benchjson::Record record;
   record.instance = label;
-  record.n = g.node_count();
-  record.m = g.edge_count();
-  record.k = g.k();
   record.engine = local::engine_kind_name(kind);
   record.threads = threads;
-  record.rounds = standalone.rounds;
-  record.max_message_bytes = standalone.max_message_bytes;
 
   svc::ServiceOptions opts;
   opts.inflight = tenants * jobs_per_tenant;  // every session in flight at once
@@ -84,7 +80,12 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
   opts.threads = threads;
 
   svc::ServiceStats stats;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  double send_ms = 0.0;
+  double receive_ms = 0.0;
+  std::uint64_t crashes = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t messages_dropped = 0;
+  const double wall_ns = benchjson::Harness::time_ns([&] {
     svc::MatchingService service(opts);
     std::vector<std::vector<std::future<local::RunResult>>> futures(
         static_cast<std::size_t>(tenants));
@@ -108,25 +109,42 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
                        label.c_str());
           std::abort();
         }
-        record.send_ms += run.send_ns / 1e6;
-        record.receive_ms += run.receive_ns / 1e6;
-        record.crashes += static_cast<long long>(run.crashes);
-        record.restarts += static_cast<long long>(run.restarts);
-        record.messages_dropped += static_cast<long long>(run.messages_dropped);
+        send_ms += run.send_ns / 1e6;
+        receive_ms += run.receive_ns / 1e6;
+        crashes += run.crashes;
+        restarts += run.restarts;
+        messages_dropped += run.messages_dropped;
       }
     }
     stats = service.stats();
   });
-  record.sessions = static_cast<long long>(stats.sessions);
   // The worst tenant's percentiles: the number a fair-share regression
   // moves first.
+  double tenant_p50_ms = 0.0;
+  double tenant_p99_ms = 0.0;
   for (const svc::TenantStats& t : stats.tenants) {
-    record.tenant_p50_ms = std::max(record.tenant_p50_ms, t.p50_ms);
-    record.tenant_p99_ms = std::max(record.tenant_p99_ms, t.p99_ms);
+    tenant_p50_ms = std::max(tenant_p50_ms, t.p50_ms);
+    tenant_p99_ms = std::max(tenant_p99_ms, t.p99_ms);
   }
-  record.fairness_ratio = stats.fairness_ratio;
-  record.init_ms = standalone.init_ns / 1e6;
-  record.rss_bytes = benchjson::peak_rss_bytes();
+  record.set("n", g.node_count())
+      .set("m", g.edge_count())
+      .set("k", g.k())
+      .set("rounds", standalone.rounds)
+      .set("wall_ns", wall_ns)
+      .set("max_message_bytes", standalone.max_message_bytes)
+      .set("init_ms", standalone.init_ns / 1e6)
+      .set("rss_bytes", benchjson::peak_rss_bytes())
+      .set("send_ms", send_ms)
+      .set("receive_ms", receive_ms)
+      .set("sessions", stats.sessions)
+      .set("tenant_p50_ms", tenant_p50_ms)
+      .set("tenant_p99_ms", tenant_p99_ms)
+      .set("fairness_ratio", stats.fairness_ratio);
+  if (!plan.empty()) {
+    record.set("crashes", crashes)
+        .set("restarts", restarts)
+        .set("messages_dropped", messages_dropped);
+  }
   harness.add(record);
   return record;
 }
@@ -160,10 +178,11 @@ void print_rows(benchjson::Harness& harness) {
     const benchjson::Record record =
         record_service_run(harness, *config.label, g, config.kind, kTenants, kJobs,
                            config.threads, *config.plan);
-    std::printf("%-32s %-6s %8d %12.2f %9lld %9.2f %9.2f %9.2f\n", config.label->c_str(),
+    std::printf("%-32s %-6s %8d %12.2f %9.0f %9.2f %9.2f %9.2f\n", config.label->c_str(),
                 local::engine_kind_name(config.kind), config.threads,
-                record.wall_ns / 1e6, record.sessions, record.tenant_p50_ms,
-                record.tenant_p99_ms, record.fairness_ratio);
+                record.get("wall_ns") / 1e6, record.get("sessions"),
+                record.get("tenant_p50_ms"), record.get("tenant_p99_ms"),
+                record.get("fairness_ratio"));
   }
   std::printf("\n");
 }

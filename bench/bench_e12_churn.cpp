@@ -17,6 +17,7 @@
 // them on equality; wall_ns is banded like every other experiment.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -68,21 +69,15 @@ benchjson::Record record_churn_run(benchjson::Harness& harness, const std::strin
 
   benchjson::Record record;
   record.instance = label;
-  record.n = g.node_count();
-  record.m = g.edge_count();
-  record.k = g.k();
-  record.rounds = -1;
   record.engine = local::engine_kind_name(kind);
   record.threads = threads;
 
   // Timed: the incremental repair path alone.
-  double init_ns = 0.0;
   dyn::DynamicMatcher* matcher_ptr = nullptr;
-  init_ns = benchjson::Harness::time_ns(
+  const double init_ns = benchjson::Harness::time_ns(
       [&] { matcher_ptr = new dyn::DynamicMatcher(g, mopts); });
   dyn::DynamicMatcher& matcher = *matcher_ptr;
-  record.init_ms = init_ns / 1e6;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  const double wall_ns = benchjson::Harness::time_ns([&] {
     for (const dyn::ChurnBatch& batch : plan.batches()) matcher.apply(batch);
   });
 
@@ -106,11 +101,17 @@ benchjson::Record record_churn_run(benchjson::Harness& harness, const std::strin
     std::abort();
   }
 
-  record.churn_ops = static_cast<long long>(matcher.stats().inserts + matcher.stats().deletes);
-  record.repairs = static_cast<long long>(matcher.stats().repairs);
-  record.touched_nodes = static_cast<long long>(matcher.stats().touched_nodes);
-  record.recompute_avoided = static_cast<long long>(matcher.stats().recompute_avoided);
-  record.rss_bytes = benchjson::peak_rss_bytes();
+  const dyn::RepairStats& stats = matcher.stats();
+  record.set("n", g.node_count())
+      .set("m", g.edge_count())
+      .set("k", g.k())
+      .set("wall_ns", wall_ns)
+      .set("init_ms", init_ns / 1e6)
+      .set("rss_bytes", benchjson::peak_rss_bytes())
+      .set("churn_ops", stats.inserts + stats.deletes)
+      .set("repairs", stats.repairs)
+      .set("touched_nodes", stats.touched_nodes)
+      .set("recompute_avoided", stats.recompute_avoided);
   delete matcher_ptr;
   harness.add(record);
   return record;
@@ -122,6 +123,7 @@ void print_rows(benchjson::Harness& harness) {
       {"churn hub_cluster h=1500 d=48", &skewed_workload, spec_of(32, 128, 1207)},
       {"churn star n=193", &star_workload, spec_of(16, 32, 1207)},
   };
+  const char* const kCounters[] = {"churn_ops", "repairs", "touched_nodes", "recompute_avoided"};
   std::printf("## E12: dynamic maximal matching under churn, incremental repair vs oracle\n");
   std::printf("%-32s %-6s %8s %12s %8s %8s %10s %14s\n", "instance", "engine", "threads",
               "wall (ms)", "ops", "repairs", "touched", "avoided");
@@ -138,19 +140,19 @@ void print_rows(benchjson::Harness& harness) {
           record_churn_run(harness, c.label, g, e.kind, e.threads, c.spec);
       if (e.kind == local::EngineKind::kSync) {
         sync_row = record;
-      } else if (record.churn_ops != sync_row.churn_ops ||
-                 record.repairs != sync_row.repairs ||
-                 record.touched_nodes != sync_row.touched_nodes ||
-                 record.recompute_avoided != sync_row.recompute_avoided) {
+      } else if (std::any_of(std::begin(kCounters), std::end(kCounters),
+                             [&](const char* counter) {
+                               return record.get(counter) != sync_row.get(counter);
+                             })) {
         // The counters are a pure function of (instance, seed); an engine
         // that changes them has leaked into the repair path.
         std::fprintf(stderr, "e12: %s counters differ between engines\n", c.label);
         std::abort();
       }
-      std::printf("%-32s %-6s %8d %12.2f %8lld %8lld %10lld %14lld\n", c.label,
-                  local::engine_kind_name(e.kind), e.threads, record.wall_ns / 1e6,
-                  record.churn_ops, record.repairs, record.touched_nodes,
-                  record.recompute_avoided);
+      std::printf("%-32s %-6s %8d %12.2f %8.0f %8.0f %10.0f %14.0f\n", c.label,
+                  local::engine_kind_name(e.kind), e.threads, record.get("wall_ns") / 1e6,
+                  record.get("churn_ops"), record.get("repairs"), record.get("touched_nodes"),
+                  record.get("recompute_avoided"));
     }
   }
   std::printf("\n");

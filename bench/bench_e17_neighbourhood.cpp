@@ -44,15 +44,15 @@ void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
     record.instance = std::string("views k=") + std::to_string(row.k) +
                       " d=" + std::to_string(row.d) + " rho=" + std::to_string(row.rho) +
                       (orbits ? " orbits" : "");
-    record.k = row.k;
-    record.rounds = row.rho - 1;  // an rho-catalogue decides (rho-1)-round algorithms
     record.threads = threads;
+    // An rho-catalogue decides (rho-1)-round algorithms.
+    record.set("k", row.k).set("rounds", row.rho - 1);
     long long views = 0, orbit_count = 0;
     std::size_t pair_count = 0;
     nbhd::CspResult result;
     if (orbits) {
       nbhd::OrbitGenStats gen;
-      record.wall_ns = benchjson::Harness::time_ns([&] {
+      record.set("wall_ns", benchjson::Harness::time_ns([&] {
         const nbhd::OrbitCatalogue cat =
             nbhd::enumerate_orbits(row.k, row.d, row.rho, 2'000'000, &gen);
         const auto pairs = nbhd::compatible_pairs(cat);
@@ -60,26 +60,28 @@ void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
         views = cat.view_count();
         orbit_count = cat.orbit_count();
         pair_count = pairs.size();
-      });
-      record.orbits = orbit_count;
-      record.orbit_reduction =
-          orbit_count > 0 ? static_cast<double>(views) / static_cast<double>(orbit_count) : 0.0;
-      record.reps_generated = gen.reps_generated;
+      }));
+      record.set("orbits", orbit_count).set("reps_generated", gen.reps_generated);
+      if (orbit_count > 0) {
+        record.set("orbit_reduction",
+                   static_cast<double>(views) / static_cast<double>(orbit_count));
+      }
     } else {
-      record.wall_ns = benchjson::Harness::time_ns([&] {
+      record.set("wall_ns", benchjson::Harness::time_ns([&] {
         const nbhd::ViewCatalogue cat = nbhd::enumerate_views(row.k, row.d, row.rho);
         const auto pairs = nbhd::compatible_pairs(cat);
         result = nbhd::solve(cat, pairs, {.threads = threads});
         views = cat.size();
         pair_count = pairs.size();
-      });
+      }));
     }
-    record.views = views;
-    record.pairs = static_cast<long long>(pair_count);
-    record.csp_nodes = static_cast<long long>(result.nodes_explored);
+    record.set("views", views)
+        .set("pairs", pair_count)
+        .set("csp_nodes", result.nodes_explored);
     std::printf("%4d %4d %5d %11lld %9lld %10zu %12s %14llu %10.1f\n", row.k, row.d, row.rho,
                 views, orbit_count, pair_count, result.satisfiable ? "SAT" : "UNSAT",
-                static_cast<unsigned long long>(result.nodes_explored), record.wall_ns / 1e6);
+                static_cast<unsigned long long>(result.nodes_explored),
+                record.get("wall_ns") / 1e6);
     harness.add(std::move(record));
   }
   // The k = 5, rho = 3 orbit census: materialisation throws the max_views
@@ -88,16 +90,18 @@ void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
   {
     benchjson::Record record;
     record.instance = "orbit census k=5 d=4 rho=3";
-    record.k = 5;
-    record.rounds = 2;
     record.threads = threads;
     nbhd::OrbitCensus census;
-    record.wall_ns = benchjson::Harness::time_ns([&] { census = nbhd::orbit_census(5, 4, 3); });
-    record.views = static_cast<long long>(census.views);
-    record.orbits = static_cast<long long>(census.orbits);
-    record.orbit_reduction = census.orbits > 0 ? census.views / census.orbits : 0.0;
-    std::printf("%4d %4d %5d %11lld %9lld %10s %12s %14s %10.1f  (census only)\n", 5, 4, 3,
-                record.views, record.orbits, "-", "-", "-", record.wall_ns / 1e6);
+    const double wall_ns =
+        benchjson::Harness::time_ns([&] { census = nbhd::orbit_census(5, 4, 3); });
+    record.set("k", 5)
+        .set("rounds", 2)
+        .set("wall_ns", wall_ns)
+        .set("views", static_cast<long long>(census.views))
+        .set("orbits", static_cast<long long>(census.orbits));
+    if (census.orbits > 0) record.set("orbit_reduction", census.views / census.orbits);
+    std::printf("%4d %4d %5d %11.0f %9.0f %10s %12s %14s %10.1f  (census only)\n", 5, 4, 3,
+                record.get("views"), record.get("orbits"), "-", "-", "-", wall_ns / 1e6);
     harness.add(std::move(record));
   }
   std::printf("\n(UNSAT at rho <= k-1 is the *universal* form of Theorem 5: no (rho-1)-round\n"
@@ -118,10 +122,8 @@ void print_orderly_scale_row(benchjson::Harness& harness) {
   if (const char* env = std::getenv("DMM_ORDERLY_BUDGET_MS")) budget_ms = std::atoll(env);
   benchjson::Record record;
   record.instance = "orderly reps k=5 d=4 rho=3";
-  record.k = 5;
-  record.rounds = 2;
   nbhd::OrbitGenStats gen;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  const double wall_ns = benchjson::Harness::time_ns([&] {
     const auto start = std::chrono::steady_clock::now();
     long long seen = 0;
     gen = nbhd::orderly_orbit_reps(5, 4, 3, [&](nbhd::OrderlyRep&&) {
@@ -132,16 +134,19 @@ void print_orderly_scale_row(benchjson::Harness& harness) {
   if (gen.complete && gen.member_views != 21'474'836'480.0) {
     throw std::logic_error("e17 orderly scale row: member count disagrees with the census");
   }
-  record.views = static_cast<long long>(gen.member_views);
-  record.orbits = gen.reps_generated;
-  record.orbit_reduction = gen.reps_generated > 0
-                               ? gen.member_views / static_cast<double>(gen.reps_generated)
-                               : 0.0;
-  record.reps_generated = gen.reps_generated;
+  record.set("k", 5)
+      .set("rounds", 2)
+      .set("wall_ns", wall_ns)
+      .set("views", static_cast<long long>(gen.member_views))
+      .set("orbits", gen.reps_generated)
+      .set("reps_generated", gen.reps_generated);
+  if (gen.reps_generated > 0) {
+    record.set("orbit_reduction", gen.member_views / static_cast<double>(gen.reps_generated));
+  }
   std::printf("orderly scale smoke: k=5 d=4 rho=3 — %lld reps covering %.0f raw views in "
               "%.1f ms (%s)\n\n",
               static_cast<long long>(gen.reps_generated), gen.member_views,
-              record.wall_ns / 1e6, gen.complete ? "complete" : "budget stop");
+              wall_ns / 1e6, gen.complete ? "complete" : "budget stop");
   harness.add(std::move(record));
 }
 

@@ -28,38 +28,6 @@ local::RunOptions run_options(int max_rounds, const local::FaultOptions& faults,
   return options;
 }
 
-// One greedy run under `plan` on the chosen engine, recorded with the
-// dmm-bench-6 fault counters filled in from the RunResult.
-local::RunResult record_faulty_run(benchjson::Harness& harness, const std::string& instance,
-                                   const graph::EdgeColouredGraph& g, local::EngineKind kind,
-                                   const local::FaultPlan& plan, int max_rounds,
-                                   const local::FlatEngineOptions& options = {},
-                                   const local::CheckpointOptions& checkpoint = {}) {
-  benchjson::Record record;
-  record.instance = instance;
-  record.n = g.node_count();
-  record.m = g.edge_count();
-  record.k = g.k();
-  record.engine = local::engine_kind_name(kind);
-  record.threads = kind == local::EngineKind::kFlat ? options.threads : 1;
-  const local::RunOptions ropts = run_options(max_rounds, local::FaultOptions{&plan}, checkpoint);
-  local::RunResult run;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
-    run = kind == local::EngineKind::kFlat
-              ? local::run_flat(g, algo::greedy_program_factory(), ropts, options)
-              : local::run_sync(g, algo::greedy_program_factory(), ropts);
-  });
-  record.rounds = run.rounds;
-  record.max_message_bytes = run.max_message_bytes;
-  record.init_ms = run.init_ns / 1e6;
-  record.rss_bytes = benchjson::peak_rss_bytes();
-  record.crashes = static_cast<long long>(run.crashes);
-  record.restarts = static_cast<long long>(run.restarts);
-  record.messages_dropped = static_cast<long long>(run.messages_dropped);
-  harness.add(std::move(record));
-  return run;
-}
-
 // The e9 workload: large enough that per-round engine cost is visible,
 // small enough for the CI bench gate.  Everything below is seeded, so the
 // pinned BENCH_e9.json counters reproduce on any machine.
@@ -89,7 +57,6 @@ int faulty_max_rounds(const graph::EdgeColouredGraph& g, const local::FaultPlan&
 void print_rows(benchjson::Harness& harness) {
   const graph::EdgeColouredGraph g = workload();
   const local::FaultPlan plan = workload_plan(g);
-  const local::FaultPlan no_faults;
   const int rounds_budget = faulty_max_rounds(g, plan);
 
   std::printf("## E9a: fault-free vs faulty, greedy at n = %d, k = %d\n", g.node_count(),
@@ -100,9 +67,10 @@ void print_rows(benchjson::Harness& harness) {
   const std::string faulty_label = "random n=20000 k=8 faults";
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
     const local::RunResult run =
-        record_faulty_run(harness, clean_label, g, kind, no_faults, g.k() + 1);
+        benchjson::record_engine_run(harness, clean_label, g, kind, algo::greedy_program_factory(),
+                                     g.k() + 1);
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", clean_label.c_str(),
-                local::engine_kind_name(kind), 1, harness.records().back().wall_ns / 1e6,
+                local::engine_kind_name(kind), 1, harness.records().back().get("wall_ns") / 1e6,
                 run.rounds, static_cast<unsigned long long>(run.crashes),
                 static_cast<unsigned long long>(run.restarts),
                 static_cast<unsigned long long>(run.messages_dropped));
@@ -110,10 +78,11 @@ void print_rows(benchjson::Harness& harness) {
   local::RunResult faulty_serial;
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
     const local::RunResult run =
-        record_faulty_run(harness, faulty_label, g, kind, plan, rounds_budget);
+        benchjson::record_engine_run(harness, faulty_label, g, kind, algo::greedy_program_factory(),
+                                     run_options(rounds_budget, local::FaultOptions{&plan}));
     if (kind == local::EngineKind::kSync) faulty_serial = run;
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(),
-                local::engine_kind_name(kind), 1, harness.records().back().wall_ns / 1e6,
+                local::engine_kind_name(kind), 1, harness.records().back().get("wall_ns") / 1e6,
                 run.rounds, static_cast<unsigned long long>(run.crashes),
                 static_cast<unsigned long long>(run.restarts),
                 static_cast<unsigned long long>(run.messages_dropped));
@@ -124,11 +93,11 @@ void print_rows(benchjson::Harness& harness) {
     // rows above.
     local::FlatEngineOptions options;
     options.threads = 4;
-    const local::RunResult run = record_faulty_run(harness, faulty_label, g,
-                                                   local::EngineKind::kFlat, plan,
-                                                   rounds_budget, options);
+    const local::RunResult run = benchjson::record_engine_run(
+        harness, faulty_label, g, local::EngineKind::kFlat, algo::greedy_program_factory(),
+        run_options(rounds_budget, local::FaultOptions{&plan}), options);
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(), "flat",
-                4, harness.records().back().wall_ns / 1e6, run.rounds,
+                4, harness.records().back().get("wall_ns") / 1e6, run.rounds,
                 static_cast<unsigned long long>(run.crashes),
                 static_cast<unsigned long long>(run.restarts),
                 static_cast<unsigned long long>(run.messages_dropped));
@@ -160,27 +129,11 @@ void print_rows(benchjson::Harness& harness) {
       last = ck;
       captured = true;
     };
-    benchjson::Record record;
-    record.instance = ckpt_label;
-    record.n = g.node_count();
-    record.m = g.edge_count();
-    record.k = g.k();
-    record.engine = local::engine_kind_name(kind);
     const local::FaultOptions faults{&plan};
-    local::RunResult run;
-    const local::RunOptions ropts = run_options(rounds_budget, faults, capture);
-    record.wall_ns = benchjson::Harness::time_ns([&] {
-      run = kind == local::EngineKind::kFlat
-                ? local::run_flat(g, algo::greedy_program_factory(), ropts)
-                : local::run_sync(g, algo::greedy_program_factory(), ropts);
-    });
-    record.rounds = run.rounds;
-    record.max_message_bytes = run.max_message_bytes;
-    record.init_ms = run.init_ns / 1e6;
-    record.rss_bytes = benchjson::peak_rss_bytes();
-    record.crashes = static_cast<long long>(run.crashes);
-    record.restarts = static_cast<long long>(run.restarts);
-    record.messages_dropped = static_cast<long long>(run.messages_dropped);
+    const local::RunResult run = benchjson::record_engine_run(
+        harness, ckpt_label, g, kind, algo::greedy_program_factory(),
+        run_options(rounds_budget, faults, capture));
+    benchjson::Record& record = harness.last();
     if (!captured) {
       std::fprintf(stderr, "e9: checkpoint sink never fired\n");
       std::abort();
@@ -188,22 +141,22 @@ void print_rows(benchjson::Harness& harness) {
     std::ostringstream frames;
     last.write(frames);
     const std::string bytes = frames.str();
-    record.checkpoint_bytes = static_cast<long long>(bytes.size());
+    record.set("checkpoint_bytes", bytes.size());
 
     // restore_ms: parse + validate the frames, and on the flat row also
     // load them into a live engine (the sync engine has no persistent
     // object to restore into — its resume path re-reads inside run_sync).
     local::EngineCheckpoint parsed;
-    record.restore_ms = benchjson::Harness::time_ns([&] {
-                          std::istringstream in(bytes);
-                          parsed = local::EngineCheckpoint::read(in);
-                          parsed.require_matches(g);
-                          if (kind == local::EngineKind::kFlat) {
-                            local::FlatEngine engine(g, algo::greedy_program_factory());
-                            engine.restore(parsed);
-                          }
-                        }) /
-                        1e6;
+    const double restore_ns = benchjson::Harness::time_ns([&] {
+      std::istringstream in(bytes);
+      parsed = local::EngineCheckpoint::read(in);
+      parsed.require_matches(g);
+      if (kind == local::EngineKind::kFlat) {
+        local::FlatEngine engine(g, algo::greedy_program_factory());
+        engine.restore(parsed);
+      }
+    });
+    record.set("restore_ms", restore_ns / 1e6);
 
     local::CheckpointOptions resume;
     resume.resume = &parsed;
@@ -220,11 +173,9 @@ void print_rows(benchjson::Harness& harness) {
       std::fprintf(stderr, "e9: resumed run diverged from the uninterrupted run\n");
       std::abort();
     }
-    harness.add(std::move(record));
-    const benchjson::Record& rec = harness.records().back();
-    std::printf("%-28s %-6s %12.2f %12lld %13.3f %8s\n", ckpt_label.c_str(),
-                local::engine_kind_name(kind), rec.wall_ns / 1e6, rec.checkpoint_bytes,
-                rec.restore_ms, ok ? "ok" : "FAIL");
+    std::printf("%-28s %-6s %12.2f %12zu %13.3f %8s\n", ckpt_label.c_str(),
+                local::engine_kind_name(kind), record.get("wall_ns") / 1e6, bytes.size(),
+                restore_ns / 1e6, ok ? "ok" : "FAIL");
   }
   std::printf("\n");
 }

@@ -1,71 +1,39 @@
 // Machine-readable benchmark trajectory: every bench binary emits a
 // BENCH_<exp>.json file so perf PRs can show before/after numbers.
 //
-// File format (one JSON object per file):
+// File format (one JSON object per file, schema dmm-bench-9):
 //
-//   {"schema":"dmm-bench-8","experiment":"e14","records":[
-//     {"instance":"random n=100000 k=4","n":100000,"m":159862,"k":4,
-//      "rounds":3,"wall_ns":12345678.0,"engine":"flat",
-//      "max_message_bytes":1,"views":0,"pairs":0,"csp_nodes":0,
-//      "memo_hits":0,"threads":1,"init_ms":1.25,"rss_bytes":104857600,
-//      "orbits":0,"orbit_reduction":0,"reps_generated":0,"crashes":0,
-//      "restarts":0,"messages_dropped":0,"checkpoint_bytes":0,
-//      "restore_ms":0,"send_ms":4.5,"receive_ms":6.25,"sessions":0,
-//      "tenant_p50_ms":0,"tenant_p99_ms":0,"fairness_ratio":0,
-//      "churn_ops":0,"repairs":0,"touched_nodes":0,
-//      "recompute_avoided":0}, ...]}
+//   {"schema":"dmm-bench-9","experiment":"e14",
+//    "metrics":{"n":{"unit":"nodes","gate":"exact"},
+//               "wall_ns":{"unit":"ns","gate":"banded","floor":"wall_ns"}, ...},
+//    "records":[
+//     {"instance":"random n=100000 k=12","engine":"flat","threads":1,
+//      "metrics":{"n":100000,"wall_ns":78368934, ...}}, ...]}
 //
-// Schema history: dmm-bench-2 appended the lower-bound pipeline stats —
-// views, pairs, csp_nodes, memo_hits, threads — to every record (zero / 1
-// where not applicable).  dmm-bench-3 appended the memory-model stats:
-// init_ms (engine setup wall-clock — the phase the pooled program arena
-// shrinks; 0 where no engine runs) and rss_bytes (peak process RSS after
-// the measured section; 0 on platforms without getrusage), so the n = 10⁷
-// scale rows capture whether init still dominates.  dmm-bench-4 appended
-// the colour-symmetry stats: orbits (distinct colour-permutation orbits —
-// catalogue orbits on e17 rows, evaluator memo orbits on e4 rows) and
-// orbit_reduction (the raw/orbit count ratio, the ~k!-fold cut; both 0
-// where the orbit layer is off).  dmm-bench-5 appended reps_generated —
-// canonical representatives built by the orderly generator on e17 orbit
-// rows (== orbits there: the generator never emits a non-canonical view)
-// and evaluator-interned orbit keys on e4 rows; 0 where the orbit layer is
-// off.  dmm-bench-6 (this PR) appends the fault/recovery stats measured by
-// the new e9 experiment: crashes, restarts and messages_dropped (the
-// RunResult fault counters — exact, so they gate on equality),
-// checkpoint_bytes (serialised EngineCheckpoint size; deterministic) and
-// restore_ms (wall-clock of EngineCheckpoint::read + engine restore; a
-// measurement, never gated).  All zero on fault-free rows.  dmm-bench-7
-// (this PR) appends the session/front-end stats: send_ms / receive_ms (the
-// engines' per-phase wall-clock split, RunResult::send_ns/receive_ns; pure
-// measurements, never gated or part of engine equivalence) and the e10
-// multi-tenant front-end columns — sessions (completed sessions behind the
-// row; exact, gates on equality), tenant_p50_ms / tenant_p99_ms (sojourn
-// latency percentiles across tenants) and fairness_ratio (max/min tenant
-// mean sojourn; wall-banded).  All zero on rows without a service.
-// dmm-bench-8 (this PR) appends the dynamic-matching stats measured by the
-// new e12 experiment (docs/dynamic.md): churn_ops (insert/delete events
-// applied), repairs (matching edges created by incremental repair),
-// touched_nodes (Σ per batch of distinct nodes the repairs visited) and
-// recompute_avoided (Σ per batch of nodes a from-scratch rerun would have
-// revisited for nothing).  All four are pure functions of
-// (instance, seed) — engine- and thread-independent — so they gate on
-// exact equality; all zero on churn-free rows.
+// Records are sparse: a record carries only the metrics its row measures,
+// in declaration order, and the file's "metrics" block declares exactly the
+// metrics its records use.  Every metric is declared once, in kMetrics
+// below; adding one is one table line and needs no schema bump.  Records
+// are keyed by (instance, engine, threads).
 //
-// The record field names are part of the schema and locked by
-// tests/test_bench_json.cpp; wall times must be finite (NaN is a
-// measurement bug and is rejected at write time, not discovered by a
-// downstream parser).
+// Gate policies, applied by tools/run_benches.py against bench/baseline/:
+//   exact   current == baseline, an absent value reading as 0
+//   close   relative drift at most 1e-9 (ratios of exact counts)
+//   banded  current at most 3x baseline, gated only when the baseline value
+//           of the `floor` metric is at least 50 ms (shorter rows are noise)
+//   none    recorded, never gated
 //
-// The experiment set is enumerated explicitly — the seed shipped no e9,
-// e10 or e12; e9 (bench_e9_faults.cpp), e10 (bench_e10_frontend.cpp) and
-// e12 (bench_e12_churn.cpp) have since filled every gap, but the set
-// stays an explicit list so the next gap fails loudly instead of being
-// iterated over.
+// The experiment set is an explicit list, never "e1..e17": the seed shipped
+// gaps, and the next gap must fail loudly instead of being iterated over.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dmm::benchjson {
@@ -78,63 +46,82 @@ inline constexpr const char* kExperiments[] = {
 
 bool known_experiment(const std::string& experiment);
 
-struct Record {
-  std::string instance;              // instance family / table row label
-  int n = 0;                         // nodes (0 when not graph-shaped)
-  int m = 0;                         // edges
-  int k = 0;                         // palette size
-  int rounds = 0;                    // rounds used (-1 when not applicable)
-  double wall_ns = 0.0;              // wall-clock of the measured section
-  std::string engine = "-";          // "sync", "flat", or "-"
-  std::size_t max_message_bytes = 0;
-  // Lower-bound pipeline stats (dmm-bench-2); zero where not applicable.
-  long long views = 0;               // view catalogue size
-  long long pairs = 0;               // compatible pairs
-  long long csp_nodes = 0;           // CSP search nodes explored
-  long long memo_hits = 0;           // evaluator memo hits
-  int threads = 1;                   // worker threads used by the run
-  // Memory-model stats (dmm-bench-3); zero where not applicable.
-  double init_ms = 0.0;              // engine setup (programs + init) wall-clock
-  long long rss_bytes = 0;           // peak process RSS when recorded
-  // Colour-symmetry stats (dmm-bench-4); zero where the orbit layer is off.
-  long long orbits = 0;              // distinct colour-permutation orbits
-  double orbit_reduction = 0.0;      // raw count / orbit count (~k!-fold cut)
-  // Orderly-generation stats (dmm-bench-5); zero where the orbit layer is off.
-  long long reps_generated = 0;      // canonical reps built by the generator
-  // Fault/recovery stats (dmm-bench-6); zero on fault-free rows.
-  long long crashes = 0;             // crash events applied
-  long long restarts = 0;            // restarts applied
-  long long messages_dropped = 0;    // messages dropped in flight
-  long long checkpoint_bytes = 0;    // serialised EngineCheckpoint size
-  double restore_ms = 0.0;           // read + restore wall-clock (not gated)
-  // Session/front-end stats (dmm-bench-7); zero where not applicable.
-  double send_ms = 0.0;              // engine send-phase wall-clock (not gated)
-  double receive_ms = 0.0;           // engine receive-phase wall-clock (not gated)
-  long long sessions = 0;            // completed service sessions (exact)
-  double tenant_p50_ms = 0.0;        // median tenant sojourn latency (not gated)
-  double tenant_p99_ms = 0.0;        // p99 tenant sojourn latency (not gated)
-  double fairness_ratio = 0.0;       // max/min tenant mean sojourn (banded)
-  // Dynamic-matching stats (dmm-bench-8); zero on churn-free rows.  Pure
-  // functions of (instance, seed): all gate on exact equality.
-  long long churn_ops = 0;           // insert/delete events applied
-  long long repairs = 0;             // matching edges created by repair
-  long long touched_nodes = 0;       // Σ distinct nodes repairs visited, per batch
-  long long recompute_avoided = 0;   // Σ nodes a from-scratch rerun would redo
+enum class Gate { kExact, kClose, kBanded, kNone };
+
+struct Metric {
+  const char* name;
+  const char* unit;
+  Gate gate;
+  const char* floor = nullptr;  // banded only: the metric whose baseline decides the floor
+};
+
+/// The one declaration of every metric a record may carry.
+inline constexpr Metric kMetrics[] = {
+    {"n", "nodes", Gate::kExact},                  // nodes of the instance graph
+    {"m", "edges", Gate::kExact},                  // edges of the instance graph
+    {"k", "colours", Gate::kExact},                // palette size
+    {"rounds", "rounds", Gate::kExact},            // rounds used (e17: rho-1, the rounds decided)
+    {"wall_ns", "ns", Gate::kBanded, "wall_ns"},   // wall-clock of the measured section
+    {"max_message_bytes", "bytes", Gate::kExact},  // largest message of the run
+    {"views", "count", Gate::kExact},              // view catalogue (e17) / evaluations (e4)
+    {"pairs", "count", Gate::kExact},              // compatible view pairs (e17)
+    {"csp_nodes", "count", Gate::kExact},          // CSP search nodes explored (e17)
+    {"memo_hits", "count", Gate::kExact},          // evaluator memo hits (e4)
+    {"init_ms", "ms", Gate::kNone},                // engine setup: programs + init calls
+    {"rss_bytes", "bytes", Gate::kNone},           // peak process RSS when recorded
+    {"orbits", "count", Gate::kExact},             // distinct colour-permutation orbits
+    {"orbit_reduction", "ratio", Gate::kClose},    // raw count / orbit count (~k!-fold cut)
+    {"reps_generated", "count", Gate::kExact},     // canonical reps built (e17) / interned (e4)
+    {"crashes", "count", Gate::kExact},            // crash events applied by the fault plan
+    {"restarts", "count", Gate::kExact},           // restarts applied by the fault plan
+    {"messages_dropped", "count", Gate::kExact},   // messages dropped in flight
+    {"checkpoint_bytes", "bytes", Gate::kExact},   // serialised EngineCheckpoint size
+    {"restore_ms", "ms", Gate::kNone},             // checkpoint read + engine restore
+    {"send_ms", "ms", Gate::kNone},                // engine send-phase wall-clock
+    {"receive_ms", "ms", Gate::kNone},             // engine receive-phase wall-clock
+    {"sessions", "count", Gate::kExact},           // completed service sessions (e10)
+    {"tenant_p50_ms", "ms", Gate::kBanded, "tenant_p50_ms"},  // worst tenant's median sojourn
+    {"tenant_p99_ms", "ms", Gate::kBanded, "tenant_p99_ms"},  // worst tenant's p99 sojourn
+    {"fairness_ratio", "ratio", Gate::kBanded, "tenant_p50_ms"},  // max/min tenant mean sojourn
+    {"churn_ops", "count", Gate::kExact},          // insert/delete events applied (e12)
+    {"repairs", "count", Gate::kExact},            // matching edges created by repair
+    {"touched_nodes", "count", Gate::kExact},      // sum per batch of nodes repairs visited
+    {"recompute_avoided", "count", Gate::kExact},  // sum per batch of nodes a rerun would redo
+};
+
+inline constexpr std::size_t kMetricCount = std::size(kMetrics);
+
+/// One trajectory row: the (instance, engine, threads) key plus the
+/// metrics it measures.
+class Record {
+ public:
+  std::string instance;      // instance family / table row label
+  std::string engine = "-";  // "sync", "flat", or "-"
+  int threads = 1;           // worker threads used by the run
+
+  /// Sets a declared metric.  Throws std::invalid_argument on an
+  /// undeclared name or a non-finite value.
+  Record& set(std::string_view name, double value);
+
+  /// The metric's value; 0 when the row does not measure it.
+  double get(std::string_view name) const;
+
+  /// kMetrics[index]'s value, empty when the row does not measure it.
+  const std::optional<double>& value(std::size_t index) const { return values_[index]; }
 
   bool operator==(const Record&) const = default;
+
+ private:
+  std::array<std::optional<double>, kMetricCount> values_{};
 };
 
 /// Peak resident set size of this process in bytes (getrusage); 0 where
 /// the platform has no such counter.
 long long peak_rss_bytes();
 
-/// One-line JSON object with the schema's exact field order.  Throws
-/// std::invalid_argument on a non-finite wall_ns.
+/// One-line JSON object: the key fields, then the set metrics in
+/// declaration order.
 std::string to_json(const Record& record);
-
-/// Exact inverse of to_json (round-trip checked in the tests).  Throws
-/// std::invalid_argument on malformed input.
-Record parse_record(const std::string& json);
 
 /// Collects records for one experiment and writes BENCH_<exp>.json.
 ///
@@ -143,8 +130,9 @@ Record parse_record(const std::string& json);
 ///   --smoke            only the instrumented tables run, benchmark loops
 ///                      are skipped by the caller (see bench mains)
 ///   --scale            opt-in n = 10⁷ scale rows (the `bench_scale`
-///                      nightly leg; only e14 reacts, every binary accepts
-///                      the flag so run_benches.py can pass it uniformly)
+///                      nightly leg; only e14 and e17 react, every binary
+///                      accepts the flag so run_benches.py can pass it
+///                      uniformly)
 ///   --json-dir <path>  output directory (default: $DMM_BENCH_JSON_DIR,
 ///                      falling back to the working directory)
 class Harness {
@@ -154,13 +142,12 @@ class Harness {
   bool smoke() const noexcept { return smoke_; }
   bool scale() const noexcept { return scale_; }
 
-  /// Validates (via to_json) and stores one record.
-  void add(Record record);
+  void add(Record record) { records_.push_back(std::move(record)); }
 
-  /// Runs fn(), fills record.wall_ns with its wall-clock, stores it.
+  /// Runs fn(), sets the record's wall_ns to its wall-clock, stores it.
   template <class F>
   void timed(Record record, F&& fn) {
-    record.wall_ns = time_ns([&] { fn(); });
+    record.set("wall_ns", time_ns([&] { fn(); }));
     add(std::move(record));
   }
 
@@ -173,6 +160,8 @@ class Harness {
   int write() const;
 
   const std::vector<Record>& records() const noexcept { return records_; }
+  /// The last stored record, for metrics measured after it was added.
+  Record& last() { return records_.back(); }
   std::string path() const;
 
   /// Shared main() body for the table-only experiments: one whole-table
@@ -184,7 +173,6 @@ class Harness {
     Harness harness(experiment, argc, argv);
     Record table;
     table.instance = "experiment table";
-    table.rounds = -1;
     harness.timed(std::move(table), std::forward<Table>(print_table));
     if (!harness.smoke()) run_benchmarks();
     return harness.write();

@@ -3,6 +3,8 @@
 #include <ostream>
 
 #include "io/serialize.hpp"
+#include "local/engine.hpp"
+#include "local/program_pool.hpp"
 
 namespace dmm::local {
 
@@ -155,6 +157,56 @@ void EngineCheckpoint::require_matches(const graph::EdgeColouredGraph& g) const 
   if (node_count != g.node_count() || k != g.k() || edge_hash != graph_fingerprint(g)) {
     throw CheckpointError(
         "checkpoint was captured on a different instance (fingerprint mismatch)");
+  }
+}
+
+EngineCheckpoint capture_checkpoint(const graph::EdgeColouredGraph& g, int round, int running,
+                                    const RunResult& result, const std::vector<char>& halted,
+                                    const std::vector<char>& down,
+                                    const std::vector<char>& dead, const ProgramPool& pool) {
+  EngineCheckpoint cp;
+  cp.node_count = g.node_count();
+  cp.k = g.k();
+  cp.edge_hash = graph_fingerprint(g);
+  cp.round = round;
+  cp.running = running;
+  cp.crashes = result.crashes;
+  cp.restarts = result.restarts;
+  cp.messages_dropped = result.messages_dropped;
+  cp.max_message_bytes = result.max_message_bytes;
+  cp.total_message_bytes = result.total_message_bytes;
+  cp.messages_sent = result.messages_sent;
+  cp.outputs = result.outputs;
+  cp.halt_round.assign(result.halt_round.begin(), result.halt_round.end());
+  cp.halted.assign(halted.begin(), halted.end());
+  cp.down.assign(down.begin(), down.end());
+  cp.dead.assign(dead.begin(), dead.end());
+  for (std::size_t v = 0; v < halted.size(); ++v) {
+    if (halted[v] || dead[v]) continue;
+    std::string blob;
+    pool[v]->save_state(blob);
+    cp.program_state.push_back(std::move(blob));
+  }
+  return cp;
+}
+
+void apply_checkpoint(const EngineCheckpoint& cp, RunResult& result, std::vector<char>& halted,
+                      std::vector<char>& down, std::vector<char>& dead, ProgramPool& pool) {
+  result.outputs = cp.outputs;
+  result.halt_round.assign(cp.halt_round.begin(), cp.halt_round.end());
+  halted.assign(cp.halted.begin(), cp.halted.end());
+  down.assign(cp.down.begin(), cp.down.end());
+  dead.assign(cp.dead.begin(), cp.dead.end());
+  result.crashes = cp.crashes;
+  result.restarts = cp.restarts;
+  result.messages_dropped = cp.messages_dropped;
+  result.max_message_bytes = static_cast<std::size_t>(cp.max_message_bytes);
+  result.total_message_bytes = static_cast<std::size_t>(cp.total_message_bytes);
+  result.messages_sent = static_cast<std::size_t>(cp.messages_sent);
+  std::size_t blob = 0;
+  for (std::size_t v = 0; v < halted.size(); ++v) {
+    if (halted[v] || dead[v]) continue;
+    pool[v]->load_state(cp.program_state[blob++]);
   }
 }
 

@@ -40,6 +40,9 @@
 
 namespace dmm::local {
 
+class ProgramPool;  // program_pool.hpp
+struct RunResult;   // engine.hpp
+
 /// A checkpoint that is structurally sound but unusable here: wrong graph,
 /// inconsistent shapes, impossible counters.  (Byte-level damage raises
 /// io::CorruptFrameError instead.)
@@ -95,5 +98,23 @@ struct EngineCheckpoint {
   /// Throws CheckpointError unless the checkpoint was captured on `g`.
   void require_matches(const graph::EdgeColouredGraph& g) const;
 };
+
+// Both engines keep the checkpointed state in the same shape — a RunResult,
+// per-node halted/down/dead flags and a program pool — so one capture and
+// one apply serve both.
+
+/// Captures the engine state after completed round `round`.  The message
+/// stats are read from `result`; an engine that accumulates them elsewhere
+/// folds its share into the returned checkpoint.
+EngineCheckpoint capture_checkpoint(const graph::EdgeColouredGraph& g, int round, int running,
+                                    const RunResult& result, const std::vector<char>& halted,
+                                    const std::vector<char>& down,
+                                    const std::vector<char>& dead, const ProgramPool& pool);
+
+/// Overlays `cp` onto a freshly initialised engine state: outputs, halt
+/// rounds, counters, node flags, and the saved state of every program that
+/// can still act.  The caller takes cp.round and cp.running itself.
+void apply_checkpoint(const EngineCheckpoint& cp, RunResult& result, std::vector<char>& halted,
+                      std::vector<char>& down, std::vector<char>& dead, ProgramPool& pool);
 
 }  // namespace dmm::local

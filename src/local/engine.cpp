@@ -29,40 +29,6 @@ std::string halted_announcement(Colour output) {
 
 namespace {
 
-/// Snapshot of the engine state after a completed round; shared between the
-/// checkpoint sink and (structurally) FlatEngine::snapshot.
-EngineCheckpoint capture_checkpoint(const graph::EdgeColouredGraph& g, int round,
-                                    int running, const RunResult& result,
-                                    const std::vector<char>& halted,
-                                    const std::vector<char>& down,
-                                    const std::vector<char>& dead, ProgramPool& pool) {
-  EngineCheckpoint cp;
-  cp.node_count = g.node_count();
-  cp.k = g.k();
-  cp.edge_hash = graph_fingerprint(g);
-  cp.round = round;
-  cp.running = running;
-  cp.crashes = result.crashes;
-  cp.restarts = result.restarts;
-  cp.messages_dropped = result.messages_dropped;
-  cp.max_message_bytes = result.max_message_bytes;
-  cp.total_message_bytes = result.total_message_bytes;
-  cp.messages_sent = result.messages_sent;
-  cp.outputs = result.outputs;
-  cp.halt_round.assign(result.halt_round.begin(), result.halt_round.end());
-  cp.halted.assign(halted.begin(), halted.end());
-  cp.down.assign(down.begin(), down.end());
-  cp.dead.assign(dead.begin(), dead.end());
-  const auto n = static_cast<std::size_t>(g.node_count());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (halted[v] || dead[v]) continue;
-    std::string blob;
-    pool[v]->save_state(blob);
-    cp.program_state.push_back(std::move(blob));
-  }
-  return cp;
-}
-
 double elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  std::chrono::steady_clock::now() - since)
@@ -150,29 +116,12 @@ class SyncSession final : public Session {
       // init still runs on every node — it hands each program its initial
       // knowledge, from which graph-shaped state is re-derived.  The
       // round-0 halt decisions it reports are already recorded in the
-      // checkpoint, so they are ignored here; load_state below overwrites
+      // checkpoint, so they are ignored here; apply_checkpoint overwrites
       // the dynamic state.
       for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) init(v);
-      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-        result_.outputs[v] = cp.outputs[v];
-        result_.halt_round[v] = cp.halt_round[v];
-        halted_[v] = static_cast<char>(cp.halted[v]);
-        down_[v] = static_cast<char>(cp.down[v]);
-        dead_[v] = static_cast<char>(cp.dead[v]);
-      }
+      apply_checkpoint(cp, result_, halted_, down_, dead_, pool_);
       running_ = cp.running;
       round_ = cp.round;
-      result_.crashes = cp.crashes;
-      result_.restarts = cp.restarts;
-      result_.messages_dropped = cp.messages_dropped;
-      result_.max_message_bytes = static_cast<std::size_t>(cp.max_message_bytes);
-      result_.total_message_bytes = static_cast<std::size_t>(cp.total_message_bytes);
-      result_.messages_sent = static_cast<std::size_t>(cp.messages_sent);
-      std::size_t blob = 0;
-      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-        if (halted_[v] || dead_[v]) continue;
-        pool_[v]->load_state(cp.program_state[blob++]);
-      }
     } else {
       for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
         if (init(v)) {
@@ -201,6 +150,8 @@ class SyncSession final : public Session {
     // Phase 0: apply this round's fault events before the send phase.  A
     // crash aimed at a halted or dead node is a no-op; a permanent crash
     // removes the node from the run (output stays ⊥, halt_round −1).
+    // Duplicated in FlatEngine on purpose: this is the reference copy that
+    // Faults.EnginesAgree* compares the flat engine's against.
     if (plan_ != nullptr) {
       const std::vector<FaultEvent>& events = plan_->events();
       while (ev_ < events.size() && events[ev_].round <= round) {

@@ -234,31 +234,14 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   if (cp != nullptr) {
     // init still runs on every node — programs re-derive graph-shaped
     // state from it; the round-0 halt decisions it reports are already in
-    // the checkpoint, and load_state overwrites the dynamic state.
+    // the checkpoint, and apply_checkpoint overwrites the dynamic state.
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       const std::size_t begin = row_[static_cast<std::size_t>(v)];
       pool_[static_cast<std::size_t>(v)]->init(port_colour_.data() + begin, degree(v));
     }
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-      result_.outputs[v] = cp->outputs[v];
-      result_.halt_round[v] = cp->halt_round[v];
-      halted_[v] = static_cast<char>(cp->halted[v]);
-      down_[v] = static_cast<char>(cp->down[v]);
-      dead_[v] = static_cast<char>(cp->dead[v]);
-    }
+    apply_checkpoint(*cp, result_, halted_, down_, dead_, pool_);
     running_ = cp->running;
     round_ = cp->round;
-    result_.crashes = cp->crashes;
-    result_.restarts = cp->restarts;
-    result_.messages_dropped = cp->messages_dropped;
-    result_.max_message_bytes = static_cast<std::size_t>(cp->max_message_bytes);
-    result_.total_message_bytes = static_cast<std::size_t>(cp->total_message_bytes);
-    result_.messages_sent = static_cast<std::size_t>(cp->messages_sent);
-    std::size_t blob = 0;
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-      if (halted_[v] || dead_[v]) continue;
-      pool_[v]->load_state(cp->program_state[blob++]);
-    }
   } else {
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       const std::size_t begin = row_[static_cast<std::size_t>(v)];
@@ -326,6 +309,8 @@ void FlatEngine::step_round(int round) {
   // Phase 0: apply this round's fault events before the send phase.  A
   // crash aimed at a halted or dead node is a no-op; a permanent crash
   // removes the node from the run (output stays ⊥, halt_round −1).
+  // Duplicated from run_sync on purpose: the sync engine is the reference
+  // that Faults.EnginesAgree* compares this copy against.
   if (plan_ != nullptr) {
     const std::vector<FaultEvent>& events = plan_->events();
     while (ev_ < events.size() && events[ev_].round <= round) {
@@ -443,56 +428,29 @@ void FlatEngine::step_round(int round) {
   result_.receive_ns += phase_elapsed_ns(receive_start);
 }
 
-RunResult FlatEngine::finish() {
-  for (const MessageStats& s : stats_) {
+void FlatEngine::merge_stats() {
+  // The fold is commutative, so the merged totals equal run_sync's inline
+  // accounting however the rounds were split across workers.
+  for (MessageStats& s : stats_) {
     result_.max_message_bytes = std::max(result_.max_message_bytes, s.max_bytes);
     result_.total_message_bytes += s.total_bytes;
     result_.messages_sent += s.sent;
+    s = MessageStats{};
   }
-  stats_.assign(static_cast<std::size_t>(workers_), MessageStats{});
+}
+
+RunResult FlatEngine::finish() {
+  merge_stats();
   for (int r : result_.halt_round) result_.rounds = std::max(result_.rounds, r);
   return std::move(result_);
 }
 
-EngineCheckpoint FlatEngine::snapshot() const {
-  EngineCheckpoint cp;
-  cp.node_count = n_;
-  cp.k = g_.k();
-  cp.edge_hash = graph_fingerprint(g_);
-  cp.round = round_;
-  cp.running = running_;
-  cp.crashes = result_.crashes;
-  cp.restarts = result_.restarts;
-  cp.messages_dropped = result_.messages_dropped;
-  // The per-worker stats are merged into the checkpoint exactly like
-  // finalise merges them into the RunResult — both folds are commutative,
-  // so the checkpointed totals equal run_sync's inline accounting.
-  std::size_t max_bytes = result_.max_message_bytes;
-  std::size_t total_bytes = result_.total_message_bytes;
-  std::size_t sent = result_.messages_sent;
-  for (const MessageStats& s : stats_) {
-    max_bytes = std::max(max_bytes, s.max_bytes);
-    total_bytes += s.total_bytes;
-    sent += s.sent;
-  }
-  cp.max_message_bytes = max_bytes;
-  cp.total_message_bytes = total_bytes;
-  cp.messages_sent = sent;
-  cp.outputs = result_.outputs;
-  cp.halt_round.assign(result_.halt_round.begin(), result_.halt_round.end());
-  cp.halted.assign(halted_.begin(), halted_.end());
-  cp.down.assign(down_.begin(), down_.end());
-  cp.dead.assign(dead_.begin(), dead_.end());
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-    if (halted_[v] || dead_[v]) continue;
-    std::string blob;
-    pool_[v]->save_state(blob);
-    cp.program_state.push_back(std::move(blob));
-  }
-  return cp;
+EngineCheckpoint FlatEngine::snapshot() {
+  merge_stats();
+  return capture_checkpoint(g_, round_, running_, result_, halted_, down_, dead_, pool_);
 }
 
-void FlatEngine::checkpoint(std::ostream& out) const { snapshot().write(out); }
+void FlatEngine::checkpoint(std::ostream& out) { snapshot().write(out); }
 
 void FlatEngine::restore(const EngineCheckpoint& cp) {
   cp.require_matches(g_);

@@ -152,8 +152,8 @@ class FlatEngine {
   /// engine-agnostic checkpoint run_sync captures; checkpoint() writes it
   /// to `out` in the checksummed io/serialize frame format.  Only valid
   /// while a run is in progress (i.e. from a CheckpointOptions sink).
-  EngineCheckpoint snapshot() const;
-  void checkpoint(std::ostream& out) const;
+  EngineCheckpoint snapshot();
+  void checkpoint(std::ostream& out);
 
   /// Primes the engine with a checkpoint captured on the same instance (by
   /// either engine); throws CheckpointError on a fingerprint mismatch and
@@ -190,6 +190,7 @@ class FlatEngine {
   std::string_view slot_view(const FlatPlane& plane, std::size_t s,
                              std::uint8_t stamp) const noexcept;
   void halt(graph::NodeIndex v, int round);
+  void merge_stats();  // folds the per-worker message stats into result_
   void render_announcement(graph::NodeIndex v);
   void wipe_running_rows();
   void plan_chunks(std::size_t chunk_slots);
@@ -237,7 +238,7 @@ class FlatEngine {
   int round_ = 0;  // last completed round
   bool primed_ = false;
   bool planes_ready_ = false;
-  std::vector<MessageStats> stats_;  // per worker, merged by finalise/snapshot
+  std::vector<MessageStats> stats_;  // per worker, folded into result_ by merge_stats
   std::vector<std::vector<graph::NodeIndex>> newly_halted_;  // per worker
   std::vector<char> halted_;
   std::vector<char> down_;  // includes dead nodes (a dead node stays down)

@@ -1,17 +1,19 @@
 // The BENCH_*.json trajectory files are consumed by scripts across PRs, so
-// the writer is under test: stable field names, exact round-trips, finite
-// wall times, and an explicitly enumerated experiment set (e12 closed the
-// last numbering gap, but the set stays an explicit list — nothing may
-// assume "e1..e17" holds forever).
+// the writer is under test: one well-formed declaration per metric, sparse
+// records in declaration order, finite values only, a metrics block that
+// declares what the records use, and an explicitly enumerated experiment
+// set (nothing may assume "e1..e17" holds forever).
 #include "bench_json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
-#include <vector>
+#include <string>
 
 namespace dmm::benchjson {
 namespace {
@@ -19,93 +21,92 @@ namespace {
 Record sample() {
   Record r;
   r.instance = "random n=256 k=4";
-  r.n = 256;
-  r.m = 380;
-  r.k = 4;
-  r.rounds = 3;
-  r.wall_ns = 1234567.25;
   r.engine = "flat";
-  r.max_message_bytes = 1;
-  r.views = 78732;
-  r.pairs = 9570312;
-  r.csp_nodes = 135864;
-  r.memo_hits = 11;
   r.threads = 2;
-  r.init_ms = 1.5;
-  r.rss_bytes = 104857600;
-  r.orbits = 3330;
-  r.orbit_reduction = 23.64;
-  r.reps_generated = 3330;
-  r.crashes = 4;
-  r.restarts = 3;
-  r.messages_dropped = 17;
-  r.checkpoint_bytes = 2048;
-  r.restore_ms = 0.75;
-  r.send_ms = 4.5;
-  r.receive_ms = 6.25;
-  r.sessions = 1000;
-  r.tenant_p50_ms = 12.5;
-  r.tenant_p99_ms = 31.25;
-  r.fairness_ratio = 1.125;
-  r.churn_ops = 416;
-  r.repairs = 38;
-  r.touched_nodes = 935;
-  r.recompute_avoided = 23065;
+  // Set out of declaration order on purpose.
+  r.set("wall_ns", 1234567.25).set("n", 256).set("orbit_reduction", 23.64).set("rounds", 0);
   return r;
 }
 
-TEST(BenchJson, StableFieldNamesAndOrder) {
-  // This string is the schema; changing it breaks every downstream reader.
-  EXPECT_EQ(to_json(sample()),
-            "{\"instance\":\"random n=256 k=4\",\"n\":256,\"m\":380,\"k\":4,"
-            "\"rounds\":3,\"wall_ns\":1234567.25,\"engine\":\"flat\","
-            "\"max_message_bytes\":1,\"views\":78732,\"pairs\":9570312,"
-            "\"csp_nodes\":135864,\"memo_hits\":11,\"threads\":2,"
-            "\"init_ms\":1.5,\"rss_bytes\":104857600,"
-            "\"orbits\":3330,\"orbit_reduction\":23.640000000000001,"
-            "\"reps_generated\":3330,\"crashes\":4,\"restarts\":3,"
-            "\"messages_dropped\":17,\"checkpoint_bytes\":2048,"
-            "\"restore_ms\":0.75,\"send_ms\":4.5,\"receive_ms\":6.25,"
-            "\"sessions\":1000,\"tenant_p50_ms\":12.5,\"tenant_p99_ms\":31.25,"
-            "\"fairness_ratio\":1.125,\"churn_ops\":416,\"repairs\":38,"
-            "\"touched_nodes\":935,\"recompute_avoided\":23065}");
+std::size_t index_of(const std::string& name) {
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (kMetrics[i].name == name) return i;
+  }
+  return kMetricCount;
 }
 
-TEST(BenchJson, PipelineStatsDefaultToInert) {
-  // Records from benches that predate the lower-bound pipeline carry the
-  // neutral values, so one validator covers every experiment.
-  const Record r;
-  EXPECT_EQ(r.views, 0);
-  EXPECT_EQ(r.pairs, 0);
-  EXPECT_EQ(r.csp_nodes, 0);
-  EXPECT_EQ(r.memo_hits, 0);
-  EXPECT_EQ(r.threads, 1);
-  // dmm-bench-3 memory-model stats are likewise inert by default.
-  EXPECT_EQ(r.init_ms, 0.0);
-  EXPECT_EQ(r.rss_bytes, 0);
-  // dmm-bench-4 colour-symmetry stats too.
-  EXPECT_EQ(r.orbits, 0);
-  EXPECT_EQ(r.orbit_reduction, 0.0);
-  // dmm-bench-5 orderly-generation stats too.
-  EXPECT_EQ(r.reps_generated, 0);
-  // dmm-bench-6 fault/recovery stats too.
-  EXPECT_EQ(r.crashes, 0);
-  EXPECT_EQ(r.restarts, 0);
-  EXPECT_EQ(r.messages_dropped, 0);
-  EXPECT_EQ(r.checkpoint_bytes, 0);
-  EXPECT_EQ(r.restore_ms, 0.0);
-  // dmm-bench-7 session/front-end stats too.
-  EXPECT_EQ(r.send_ms, 0.0);
-  EXPECT_EQ(r.receive_ms, 0.0);
-  EXPECT_EQ(r.sessions, 0);
-  EXPECT_EQ(r.tenant_p50_ms, 0.0);
-  EXPECT_EQ(r.tenant_p99_ms, 0.0);
-  EXPECT_EQ(r.fairness_ratio, 0.0);
-  // dmm-bench-8 dynamic-matching stats too.
-  EXPECT_EQ(r.churn_ops, 0);
-  EXPECT_EQ(r.repairs, 0);
-  EXPECT_EQ(r.touched_nodes, 0);
-  EXPECT_EQ(r.recompute_avoided, 0);
+TEST(BenchJson, EveryMetricIsDeclaredOnceAndWellFormed) {
+  std::set<std::string> names;
+  for (const Metric& metric : kMetrics) {
+    EXPECT_TRUE(names.insert(metric.name).second) << "declared twice: " << metric.name;
+    EXPECT_STRNE(metric.unit, "") << metric.name;
+    // Only banded metrics name a floor, and the floor is a declared
+    // wall-clock metric, so the gate can compare its baseline to 50 ms.
+    if (metric.gate != Gate::kBanded) {
+      EXPECT_EQ(metric.floor, nullptr) << metric.name;
+      continue;
+    }
+    ASSERT_NE(metric.floor, nullptr) << metric.name;
+    const std::size_t floor = index_of(metric.floor);
+    ASSERT_LT(floor, kMetricCount) << metric.name << " floor " << metric.floor;
+    const std::string unit = kMetrics[floor].unit;
+    EXPECT_TRUE(unit == "ns" || unit == "ms") << metric.name;
+  }
+  for (const char* key : {"instance", "engine", "threads", "metrics"}) {
+    EXPECT_EQ(names.count(key), 0u) << key << " is a record key, not a metric";
+  }
+}
+
+TEST(BenchJson, RecordsAreSparseAndInDeclarationOrder) {
+  // This string is the record format; changing it breaks every reader.
+  EXPECT_EQ(to_json(sample()),
+            "{\"instance\":\"random n=256 k=4\",\"engine\":\"flat\",\"threads\":2,"
+            "\"metrics\":{\"n\":256,\"rounds\":0,\"wall_ns\":1234567.25,"
+            "\"orbit_reduction\":23.640000000000001}}");
+  Record empty;
+  empty.instance = "experiment table";
+  EXPECT_EQ(to_json(empty),
+            "{\"instance\":\"experiment table\",\"engine\":\"-\",\"threads\":1,\"metrics\":{}}");
+}
+
+TEST(BenchJson, AbsentMetricsReadAsZero) {
+  const Record r = sample();
+  EXPECT_EQ(r.get("n"), 256.0);
+  EXPECT_EQ(r.get("crashes"), 0.0);
+  EXPECT_FALSE(r.value(index_of("m")).has_value());
+  EXPECT_THROW((void)r.get("bogus"), std::invalid_argument);
+}
+
+TEST(BenchJson, SetRejectsUndeclaredNamesAndNonFiniteValues) {
+  Record r = sample();
+  EXPECT_THROW(r.set("wall_ms", 1.0), std::invalid_argument);
+  EXPECT_THROW(r.set("instance", 1.0), std::invalid_argument);
+  for (const Metric& metric : kMetrics) {
+    EXPECT_THROW(r.set(metric.name, std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument)
+        << metric.name;
+    EXPECT_THROW(r.set(metric.name, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument)
+        << metric.name;
+    EXPECT_THROW(r.set(metric.name, -std::numeric_limits<double>::infinity()),
+                 std::invalid_argument)
+        << metric.name;
+  }
+  EXPECT_EQ(r, sample());  // a rejected set leaves the record untouched
+}
+
+TEST(BenchJson, NumbersAndStringsSurviveTheWriter) {
+  Record r;
+  r.instance = "quote \" backslash \\ tab \t done";
+  const double third = 1.0 / 3.0 * 1e9;
+  r.set("wall_ns", third).set("views", 21474836480.0);
+  const std::string json = to_json(r);
+  EXPECT_NE(json.find("\"instance\":\"quote \\\" backslash \\\\ tab \\t done\""),
+            std::string::npos);
+  // %.17g round-trips doubles bit for bit and prints integral counts bare.
+  const std::string::size_type at = json.find("\"wall_ns\":") + 10;
+  EXPECT_EQ(std::strtod(json.c_str() + at, nullptr), third);
+  EXPECT_NE(json.find("\"views\":21474836480}"), std::string::npos);
 }
 
 TEST(BenchJson, PeakRssIsPositiveOnLinux) {
@@ -116,83 +117,9 @@ TEST(BenchJson, PeakRssIsPositiveOnLinux) {
 #endif
 }
 
-TEST(BenchJson, RoundTripsExactly) {
-  Record r = sample();
-  EXPECT_EQ(parse_record(to_json(r)), r);
-  // Doubles survive the %.17g round-trip bit for bit.
-  r.wall_ns = 1.0 / 3.0 * 1e9;
-  EXPECT_EQ(parse_record(to_json(r)).wall_ns, r.wall_ns);
-  // Awkward strings survive escaping.
-  r.instance = "quote \" backslash \\ tab \t done";
-  EXPECT_EQ(parse_record(to_json(r)), r);
-}
-
-TEST(BenchJson, RejectsNonFiniteWallTimes) {
-  Record r = sample();
-  r.wall_ns = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.wall_ns = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.wall_ns = -std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.init_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.orbit_reduction = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.orbit_reduction = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.restore_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.send_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.receive_ms = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.fairness_ratio = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-}
-
-TEST(BenchJson, RejectsMalformedRecords) {
-  EXPECT_THROW(parse_record("{}"), std::invalid_argument);
-  EXPECT_THROW(parse_record("{\"instance\":\"x\",\"n\":1}"), std::invalid_argument);
-  EXPECT_THROW(parse_record("not json"), std::invalid_argument);
-  // A dmm-bench-3 record (orbits/orbit_reduction absent) is rejected: the
-  // schema's field set is closed, old trajectories must not parse as new.
-  const std::string current = to_json(sample());
-  const std::string::size_type cut = current.find(",\"orbits\"");
-  ASSERT_NE(cut, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut) + "}"), std::invalid_argument);
-  // Likewise a dmm-bench-4 record (reps_generated absent).
-  const std::string::size_type cut5 = current.find(",\"reps_generated\"");
-  ASSERT_NE(cut5, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut5) + "}"), std::invalid_argument);
-  // And a dmm-bench-5 record (fault/recovery stats absent).
-  const std::string::size_type cut6 = current.find(",\"crashes\"");
-  ASSERT_NE(cut6, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut6) + "}"), std::invalid_argument);
-  // And a dmm-bench-6 record (session/front-end stats absent).
-  const std::string::size_type cut7 = current.find(",\"send_ms\"");
-  ASSERT_NE(cut7, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut7) + "}"), std::invalid_argument);
-  // And a dmm-bench-7 record (dynamic-matching stats absent).
-  const std::string::size_type cut8 = current.find(",\"churn_ops\"");
-  ASSERT_NE(cut8, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut8) + "}"), std::invalid_argument);
-  // A record whose orbits field is present but mis-ordered is rejected too.
-  std::string swapped = current;
-  swapped.replace(swapped.find("\"orbits\""), 8, "\"orbitz\"");
-  EXPECT_THROW(parse_record(swapped), std::invalid_argument);
-}
-
 TEST(BenchJson, ExperimentSetIsExplicit) {
-  // 17 experiments exist (e9 arrived with the fault layer, e10 with the
-  // multi-tenant front-end, e12 with the dynamic-matching churn bench —
-  // the numbering has no gaps left, but the set stays an explicit list).
+  // 17 experiments exist; the numbering has no gaps left, but the set
+  // stays an explicit list.
   EXPECT_EQ(std::end(kExperiments) - std::begin(kExperiments), 17);
   EXPECT_TRUE(known_experiment("e12"));
   for (const char* e : kExperiments) {
@@ -225,12 +152,13 @@ TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
   EXPECT_STREQ(argv[1], passthrough);
 
   h.add(sample());
-  Record second = sample();
+  Record second;
   second.instance = "chain k=8";
   second.engine = "sync";
+  second.set("csp_nodes", 7);
   h.timed(second, [] {});
   ASSERT_EQ(h.records().size(), 2u);
-  EXPECT_GE(h.records()[1].wall_ns, 0.0);
+  EXPECT_TRUE(h.records()[1].value(index_of("wall_ns")).has_value());  // set by timed()
 
   EXPECT_EQ(h.write(), 0);
   std::ifstream in(h.path());
@@ -238,10 +166,19 @@ TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
   std::stringstream content;
   content << in.rdbuf();
   const std::string text = content.str();
-  EXPECT_NE(text.find("\"schema\":\"dmm-bench-8\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\":\"dmm-bench-9\""), std::string::npos);
   EXPECT_NE(text.find("\"experiment\":\"e1\""), std::string::npos);
-  // Each stored record is embedded verbatim, so the file parses record by
-  // record with the same parser the round-trip test uses.
+  // The metrics block declares exactly the metrics the records use, in
+  // declaration order, each with its unit and gate.
+  const std::string block =
+      "\"metrics\":{\n"
+      "  \"n\":{\"unit\":\"nodes\",\"gate\":\"exact\"},\n"
+      "  \"rounds\":{\"unit\":\"rounds\",\"gate\":\"exact\"},\n"
+      "  \"wall_ns\":{\"unit\":\"ns\",\"gate\":\"banded\",\"floor\":\"wall_ns\"},\n"
+      "  \"csp_nodes\":{\"unit\":\"count\",\"gate\":\"exact\"},\n"
+      "  \"orbit_reduction\":{\"unit\":\"ratio\",\"gate\":\"close\"}},";
+  EXPECT_NE(text.find(block), std::string::npos) << text;
+  // Each stored record is embedded verbatim.
   for (const Record& r : h.records()) {
     EXPECT_NE(text.find(to_json(r)), std::string::npos);
   }
