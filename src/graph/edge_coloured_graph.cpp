@@ -71,9 +71,11 @@ EdgeColouredGraph::EdgeColouredGraph(int n, int k, std::vector<Edge> edges)
   std::vector<std::size_t> deg(adjacency_.size(), 0);
   for (const Half3& h : halves) ++deg[static_cast<std::size_t>(h.at)];
   for (std::size_t v = 0; v < adjacency_.size(); ++v) adjacency_[v].reserve(deg[v]);
-  for (const Edge& e : edges) {
-    adjacency_[static_cast<std::size_t>(e.u)].push_back({e.v, e.colour});
-    adjacency_[static_cast<std::size_t>(e.v)].push_back({e.u, e.colour});
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    const auto slot = static_cast<std::int32_t>(i);
+    adjacency_[static_cast<std::size_t>(e.u)].push_back({e.v, e.colour, slot});
+    adjacency_[static_cast<std::size_t>(e.v)].push_back({e.u, e.colour, slot});
   }
   edges_ = std::move(edges);
 }
@@ -99,38 +101,53 @@ void EdgeColouredGraph::add_edge(NodeIndex u, NodeIndex v, Colour colour) {
   if (edges_.size() >= static_cast<std::size_t>(std::numeric_limits<int>::max())) {
     throw std::length_error("EdgeColouredGraph: edge count would exceed 32 bits");
   }
-  adjacency_[u].push_back({v, colour});
-  adjacency_[v].push_back({u, colour});
+  const auto slot = static_cast<std::int32_t>(edges_.size());
+  adjacency_[u].push_back({v, colour, slot});
+  adjacency_[v].push_back({u, colour, slot});
   edges_.push_back({u, v, colour});
+}
+
+// Position of the half at -> to in at's row (the row's size if absent);
+// adds the halves it inspects to remove_edge_probes_.
+std::size_t EdgeColouredGraph::find_half(NodeIndex at, NodeIndex to) {
+  const auto& halves = adjacency_[static_cast<std::size_t>(at)];
+  std::size_t i = 0;
+  while (i < halves.size() && halves[i].to != to) ++i;
+  remove_edge_probes_ += std::min(i + 1, halves.size());
+  return i;
 }
 
 void EdgeColouredGraph::remove_edge(NodeIndex u, NodeIndex v) {
   check_node(u);
   check_node(v);
-  const auto drop_half = [this](NodeIndex at, NodeIndex to) {
-    auto& halves = adjacency_[static_cast<std::size_t>(at)];
-    for (std::size_t i = 0; i < halves.size(); ++i) {
-      if (halves[i].to == to) {
-        halves[i] = halves.back();
-        halves.pop_back();
-        return true;
-      }
-    }
-    return false;
-  };
-  if (!drop_half(u, v)) {
+  auto& at_u = adjacency_[static_cast<std::size_t>(u)];
+  auto& at_v = adjacency_[static_cast<std::size_t>(v)];
+  const std::size_t hu = find_half(u, v);
+  if (hu == at_u.size()) {
     throw std::invalid_argument("EdgeColouredGraph: remove_edge on a non-edge");
   }
-  drop_half(v, u);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const Edge& e = edges_[i];
-    if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) {
-      edges_[i] = edges_.back();
-      edges_.pop_back();
-      return;
-    }
+  const auto slot = static_cast<std::size_t>(at_u[hu].edge);
+  const std::size_t hv = find_half(v, u);
+  if (slot >= edges_.size() || hv == at_v.size() || at_v[hv].edge != at_u[hu].edge ||
+      !((edges_[slot].u == u && edges_[slot].v == v) ||
+        (edges_[slot].u == v && edges_[slot].v == u))) {
+    throw std::logic_error("EdgeColouredGraph: adjacency/edge-list mismatch");
   }
-  throw std::logic_error("EdgeColouredGraph: adjacency/edge-list mismatch");
+  at_u[hu] = at_u.back();
+  at_u.pop_back();
+  at_v[hv] = at_v.back();
+  at_v.pop_back();
+  edges_[slot] = edges_.back();
+  edges_.pop_back();
+  if (slot == edges_.size()) return;  // the removed edge was the last one
+  // The last edge moved into `slot`: re-point its two halves.
+  const Edge& moved = edges_[slot];
+  const auto repoint = [&](NodeIndex at, NodeIndex to) {
+    adjacency_[static_cast<std::size_t>(at)][find_half(at, to)].edge =
+        static_cast<std::int32_t>(slot);
+  };
+  repoint(moved.u, moved.v);
+  repoint(moved.v, moved.u);
 }
 
 std::optional<Colour> EdgeColouredGraph::edge_colour(NodeIndex u, NodeIndex v) const {

@@ -50,11 +50,17 @@ class EdgeColouredGraph {
   /// Removes the edge {u, v} (given in either orientation; the colour is
   /// whatever the live edge carries).  Throws std::invalid_argument when no
   /// such edge exists.  The colouring stays proper by construction —
-  /// removing an edge can only free colours.  Cost: O(deg(u) + deg(v)) on
-  /// the adjacency lists plus an O(m) scan of the edge list; both sides
-  /// are swap-popped, so edges() order is NOT preserved across removals
+  /// removing an edge can only free colours.  Cost: O(deg(u) + deg(v) +
+  /// deg(a) + deg(b)) ⊆ O(Δ), where {a, b} is the last edge of edges(),
+  /// independent of m: each half-edge stores its edge's slot in edges(),
+  /// so only the moved edge's two halves need re-pointing.  Both sides are
+  /// swap-popped, so edges() order is NOT preserved across removals
   /// (callers indexing into edges() must re-read after a removal).
   void remove_edge(NodeIndex u, NodeIndex v);
+
+  /// Half-edges inspected by remove_edge over this graph's lifetime (the
+  /// deterministic cost count behind remove_edge's O(Δ) bound).
+  std::uint64_t remove_edge_probes() const noexcept { return remove_edge_probes_; }
 
   /// Colour of the edge {u, v}, if present (either orientation).
   std::optional<Colour> edge_colour(NodeIndex u, NodeIndex v) const;
@@ -83,13 +89,17 @@ class EdgeColouredGraph {
   struct Half {
     NodeIndex to;
     Colour colour;
+    std::int32_t edge;  // slot of this edge in edges_
   };
+  static_assert(sizeof(Half) == 12, "Half is {to, colour, edge}: 12 bytes");
 
   void check_node(NodeIndex v) const;
+  std::size_t find_half(NodeIndex at, NodeIndex to);
 
   int k_;
   std::vector<std::vector<Half>> adjacency_;
   std::vector<Edge> edges_;
+  std::uint64_t remove_edge_probes_ = 0;
 };
 
 }  // namespace dmm::graph
