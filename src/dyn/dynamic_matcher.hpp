@@ -96,7 +96,9 @@ class DynamicMatcher {
   std::vector<Colour> recompute() { return recompute(opts_.engine); }
   std::vector<Colour> recompute(local::EngineKind engine);
 
-  /// check_outputs of the incremental matching against the current graph.
+  /// check_outputs of the incremental matching against the current graph:
+  /// the full O(n + m) check (one edge pass, one node pass), not a
+  /// spot-check of the nodes the last batch touched.
   verify::MatchingReport check() const { return verify::check_outputs(g_, outputs_); }
 
  private:

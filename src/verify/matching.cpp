@@ -1,6 +1,8 @@
 #include "verify/matching.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 namespace dmm::verify {
 
@@ -28,33 +30,46 @@ std::string MatchingReport::describe() const {
 MatchingReport check_outputs(const graph::EdgeColouredGraph& g,
                              const std::vector<Colour>& outputs) {
   MatchingReport report;
-  if (static_cast<int>(outputs.size()) != g.node_count()) {
+  const auto n = static_cast<std::size_t>(g.node_count());
+  if (outputs.size() != n) {
     report.violations.push_back({Violation::Kind::M1, -1, -1, gk::kNoColour});
     return report;
   }
-  for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
-    const Colour out = outputs[static_cast<std::size_t>(v)];
-    if (out == local::kUnmatched) continue;
-    const auto partner = g.neighbour(v, out);
-    if (!partner) {
-      report.violations.push_back({Violation::Kind::M1, v, -1, out});
-      continue;
-    }
-    if (outputs[static_cast<std::size_t>(*partner)] != out) {
-      report.violations.push_back({Violation::Kind::M2, v, *partner, out});
-    }
-  }
+  // Edge pass: v's partner is the far end of the edge carrying v's output
+  // colour — at most one edge per node, the colouring being proper.  The
+  // two-sided-⊥ (M3) edges are collected on the way, in edge order.
+  std::vector<graph::NodeIndex> partner(n, -1);
+  std::vector<Violation> unmatched_edges;
   for (const graph::Edge& e : g.edges()) {
-    if (outputs[static_cast<std::size_t>(e.u)] == local::kUnmatched &&
-        outputs[static_cast<std::size_t>(e.v)] == local::kUnmatched) {
-      report.violations.push_back({Violation::Kind::M3, e.u, e.v, e.colour});
+    const Colour at_u = outputs[static_cast<std::size_t>(e.u)];
+    const Colour at_v = outputs[static_cast<std::size_t>(e.v)];
+    if (at_u == e.colour) partner[static_cast<std::size_t>(e.u)] = e.v;
+    if (at_v == e.colour) partner[static_cast<std::size_t>(e.v)] = e.u;
+    if (at_u == local::kUnmatched && at_v == local::kUnmatched) {
+      unmatched_edges.push_back({Violation::Kind::M3, e.u, e.v, e.colour});
     }
   }
+  // Node pass: M1 (no edge of v's colour) and M2 (the partner disagrees)
+  // in node order, then the M3 edges.
+  for (std::size_t v = 0; v < n; ++v) {
+    const Colour out = outputs[v];
+    if (out == local::kUnmatched) continue;
+    const graph::NodeIndex p = partner[v];
+    const auto node = static_cast<graph::NodeIndex>(v);
+    if (p < 0) {
+      report.violations.push_back({Violation::Kind::M1, node, -1, out});
+    } else if (outputs[static_cast<std::size_t>(p)] != out) {
+      report.violations.push_back({Violation::Kind::M2, node, p, out});
+    }
+  }
+  report.violations.insert(report.violations.end(), unmatched_edges.begin(),
+                           unmatched_edges.end());
   return report;
 }
 
 MatchingReport check_node(const graph::EdgeColouredGraph& g,
                           const std::vector<Colour>& outputs, graph::NodeIndex v) {
+  if (v < 0 || v >= g.node_count()) throw std::out_of_range("check_node: bad node index");
   MatchingReport report;
   if (static_cast<int>(outputs.size()) != g.node_count()) {
     report.violations.push_back({Violation::Kind::M1, -1, -1, gk::kNoColour});
@@ -91,24 +106,39 @@ std::vector<graph::Edge> matched_edges(const graph::EdgeColouredGraph& g,
   return out;
 }
 
-bool is_matching(const graph::EdgeColouredGraph& g, const std::vector<graph::Edge>& edges) {
+namespace {
+
+/// Marks the endpoints of `edges`; nullopt when two of them share one.
+/// Throws std::out_of_range on an endpoint that is not a node of g.
+std::optional<std::vector<char>> covered_nodes(const graph::EdgeColouredGraph& g,
+                                               const std::vector<graph::Edge>& edges) {
   std::vector<char> used(static_cast<std::size_t>(g.node_count()), 0);
   for (const graph::Edge& e : edges) {
-    if (used[static_cast<std::size_t>(e.u)] || used[static_cast<std::size_t>(e.v)]) return false;
+    if (e.u < 0 || e.u >= g.node_count() || e.v < 0 || e.v >= g.node_count()) {
+      throw std::out_of_range("verify: edge endpoint is not a node of the graph");
+    }
+    if (used[static_cast<std::size_t>(e.u)] || used[static_cast<std::size_t>(e.v)]) {
+      return std::nullopt;
+    }
     used[static_cast<std::size_t>(e.u)] = used[static_cast<std::size_t>(e.v)] = 1;
   }
-  return true;
+  return used;
+}
+
+}  // namespace
+
+bool is_matching(const graph::EdgeColouredGraph& g, const std::vector<graph::Edge>& edges) {
+  return covered_nodes(g, edges).has_value();
 }
 
 bool is_maximal_matching(const graph::EdgeColouredGraph& g,
                          const std::vector<graph::Edge>& edges) {
-  if (!is_matching(g, edges)) return false;
-  std::vector<char> used(static_cast<std::size_t>(g.node_count()), 0);
-  for (const graph::Edge& e : edges) {
-    used[static_cast<std::size_t>(e.u)] = used[static_cast<std::size_t>(e.v)] = 1;
-  }
+  const auto used = covered_nodes(g, edges);
+  if (!used) return false;
   for (const graph::Edge& e : g.edges()) {
-    if (!used[static_cast<std::size_t>(e.u)] && !used[static_cast<std::size_t>(e.v)]) return false;
+    if (!(*used)[static_cast<std::size_t>(e.u)] && !(*used)[static_cast<std::size_t>(e.v)]) {
+      return false;
+    }
   }
   return true;
 }

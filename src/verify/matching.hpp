@@ -33,17 +33,20 @@ struct MatchingReport {
   std::string describe() const;
 };
 
-/// Checks (M1)-(M3) of `outputs` (one entry per node) against g.
+/// Checks (M1)-(M3) of `outputs` (one entry per node) against g.  Cost:
+/// one sequential pass over g.edges() (each node's partner along its
+/// output colour, plus the two-sided-⊥ edges) and one pass over `outputs`
+/// — O(n + m), with no per-node adjacency lookup.  Violations come in a
+/// fixed order: M1/M2 by ascending node, then M3 in edges() order.
 MatchingReport check_outputs(const graph::EdgeColouredGraph& g,
                              const std::vector<Colour>& outputs);
 
 /// Checks (M1)-(M3) restricted to node v: v's own output (M1/M2) plus
 /// every incident edge's two-sided-⊥ condition (M3, reported from v's
-/// side).  Work is bounded by v's neighbourhood — independent of n and
-/// m — which is what lets the dynamic-matching subsystem (src/dyn)
-/// spot-check exactly the nodes a churn batch touched instead of paying
-/// check_outputs' full sweep.  Clean at every node of N(v) ∪ {v} implies
-/// check_outputs clean at v.
+/// side).  Work is bounded by v's neighbourhood, independent of n and m.
+/// Clean at every node of N(v) ∪ {v} implies check_outputs clean at v.
+/// No library code calls it: DynamicMatcher::check() runs the full
+/// check_outputs.  Throws std::out_of_range if v is not a node of g.
 MatchingReport check_node(const graph::EdgeColouredGraph& g,
                           const std::vector<Colour>& outputs, graph::NodeIndex v);
 
@@ -52,6 +55,8 @@ std::vector<graph::Edge> matched_edges(const graph::EdgeColouredGraph& g,
                                        const std::vector<Colour>& outputs);
 
 /// True iff `edges` is a matching of g (pairwise disjoint endpoints).
+/// Throws std::out_of_range on an endpoint outside g, as does
+/// is_maximal_matching.
 bool is_matching(const graph::EdgeColouredGraph& g, const std::vector<graph::Edge>& edges);
 
 /// True iff `edges` is a maximal matching of g.

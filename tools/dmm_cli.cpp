@@ -185,6 +185,12 @@ std::uint64_t outputs_fnv(const local::RunResult& run) {
   return h;
 }
 
+/// Wall-clock milliseconds since `start` on the steady clock.
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 /// Atomic AND durable checkpoint write.  The tmp + rename pair covers a
 /// SIGKILL between any two instructions (the old complete file or the new
 /// one, never a torn frame); durability against power loss additionally
@@ -304,7 +310,9 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
   } else {
     run = local::run_sync(g, algo::greedy_program_factory(), run_options);
   }
+  const auto check_start = std::chrono::steady_clock::now();
   const verify::MatchingReport report = verify::check_outputs(g, run.outputs);
+  const double check_ms = ms_since(check_start);
   const std::size_t matched = verify::matched_edges(g, run.outputs).size();
   if (flag(args, "--json")) {
     char fnv[32];
@@ -316,7 +324,10 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
               << ",\"crashes\":" << run.crashes << ",\"restarts\":" << run.restarts
               << ",\"messages_dropped\":" << run.messages_dropped
               << ",\"valid\":" << (report.ok() ? "true" : "false") << ",\"outputs_fnv\":\""
-              << fnv << "\"}\n";
+              << fnv << "\",\"init_ms\":" << run.init_ns / 1e6
+              << ",\"send_ms\":" << run.send_ns / 1e6
+              << ",\"receive_ms\":" << run.receive_ns / 1e6 << ",\"check_ms\":" << check_ms
+              << "}\n";
   } else {
     std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k() << ")\n";
     std::cout << "engine: " << local::engine_kind_name(*engine);
@@ -491,9 +502,15 @@ int cmd_churn(const std::vector<std::string>& args) {
   plan.require_applies(g);
 
   int bad_batches = 0;
+  double apply_ms = 0.0;
+  double check_ms = 0.0;
   for (std::size_t b = 0; b < plan.batches().size(); ++b) {
+    const auto apply_start = std::chrono::steady_clock::now();
     matcher.apply(plan.batches()[b]);
+    apply_ms += ms_since(apply_start);
+    const auto check_start = std::chrono::steady_clock::now();
     const verify::MatchingReport incremental = matcher.check();
+    check_ms += ms_since(check_start);
     bool batch_ok = incremental.ok();
     if (oracle) {
       const std::vector<local::Colour> recomputed = matcher.recompute();
@@ -523,7 +540,8 @@ int cmd_churn(const std::vector<std::string>& args) {
               << ",\"recompute_avoided\":" << stats.recompute_avoided
               << ",\"matched_edges\":" << matched << ",\"final_edges\":"
               << matcher.graph().edge_count() << ",\"oracle\":" << (oracle ? "true" : "false")
-              << ",\"valid\":" << (bad_batches == 0 ? "true" : "false") << "}\n";
+              << ",\"valid\":" << (bad_batches == 0 ? "true" : "false")
+              << ",\"apply_ms\":" << apply_ms << ",\"check_ms\":" << check_ms << "}\n";
   } else {
     std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k()
               << ", edges " << g.edge_count() << " -> " << matcher.graph().edge_count()
