@@ -7,7 +7,8 @@
 // RunResult against the standalone run of the same job — the bench aborts
 // on any divergence, so a green baseline row doubles as an equivalence
 // smoke check.  `sessions` is an exact workload property (the gate pins it
-// on equality); tenant_p50_ms / tenant_p99_ms / fairness_ratio are wall
+// on equality), and so is outputs_fnv, the standalone run's outputs + halt
+// rounds fingerprint; tenant_p50_ms / tenant_p99_ms / fairness_ratio are wall
 // measurements (banded); send_ms / receive_ms carry the engines' phase
 // split summed over the row's sessions (recorded, never gated).
 #include <benchmark/benchmark.h>
@@ -19,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_engines.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -139,7 +140,8 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
       .set("sessions", stats.sessions)
       .set("tenant_p50_ms", tenant_p50_ms)
       .set("tenant_p99_ms", tenant_p99_ms)
-      .set("fairness_ratio", stats.fairness_ratio);
+      .set("fairness_ratio", stats.fairness_ratio)
+      .set("outputs_fnv", benchjson::outputs_fingerprint(standalone));
   if (!plan.empty()) {
     record.set("crashes", crashes)
         .set("restarts", restarts)

@@ -3,8 +3,10 @@
 // a killed run comes back.  The fault counters (crashes, restarts,
 // messages_dropped) are pure functions of the seeded FaultPlan, so the
 // baseline gates them on exact equality; checkpoint_bytes is deterministic
-// for the same reason.  restore_ms is a wall-clock measurement and is
-// recorded but never gated.
+// for the same reason.  Every row also pins outputs_fnv, the fingerprint
+// of its outputs and halt rounds, so an engine change that moves a counter
+// shows on the same row whether the simulated behaviour moved with it.
+// restore_ms is a wall-clock measurement and is recorded but never gated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -48,6 +50,11 @@ local::FaultPlan workload_plan(const graph::EdgeColouredGraph& g) {
   return local::FaultPlan::random(g, spec);
 }
 
+/// Records the run's outputs_fnv on the row just added.
+void record_fingerprint(benchjson::Harness& harness, const local::RunResult& run) {
+  harness.last().set("outputs_fnv", benchjson::outputs_fingerprint(run));
+}
+
 int faulty_max_rounds(const graph::EdgeColouredGraph& g, const local::FaultPlan& plan) {
   // A restarted node still has to finish its protocol, so faulty runs get
   // headroom past the last restart.
@@ -69,6 +76,7 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run =
         benchjson::record_engine_run(harness, clean_label, g, kind, algo::greedy_program_factory(),
                                      g.k() + 1);
+    record_fingerprint(harness, run);
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", clean_label.c_str(),
                 local::engine_kind_name(kind), 1, harness.records().back().get("wall_ns") / 1e6,
                 run.rounds, static_cast<unsigned long long>(run.crashes),
@@ -80,6 +88,7 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run =
         benchjson::record_engine_run(harness, faulty_label, g, kind, algo::greedy_program_factory(),
                                      run_options(rounds_budget, local::FaultOptions{&plan}));
+    record_fingerprint(harness, run);
     if (kind == local::EngineKind::kSync) faulty_serial = run;
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(),
                 local::engine_kind_name(kind), 1, harness.records().back().get("wall_ns") / 1e6,
@@ -96,6 +105,7 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run = benchjson::record_engine_run(
         harness, faulty_label, g, local::EngineKind::kFlat, algo::greedy_program_factory(),
         run_options(rounds_budget, local::FaultOptions{&plan}), options);
+    record_fingerprint(harness, run);
     std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(), "flat",
                 4, harness.records().back().get("wall_ns") / 1e6, run.rounds,
                 static_cast<unsigned long long>(run.crashes),
@@ -133,6 +143,7 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run = benchjson::record_engine_run(
         harness, ckpt_label, g, kind, algo::greedy_program_factory(),
         run_options(rounds_budget, faults, capture));
+    record_fingerprint(harness, run);
     benchjson::Record& record = harness.last();
     if (!captured) {
       std::fprintf(stderr, "e9: checkpoint sink never fired\n");

@@ -10,6 +10,12 @@
 
 namespace dmm::benchjson {
 
+/// local::outputs_fnv as a record value: the top 53 bits, so the value
+/// stays an exact double in the JSON file.
+inline double outputs_fingerprint(const local::RunResult& run) {
+  return static_cast<double>(local::outputs_fnv(run) >> 11);
+}
+
 /// The fault counters are recorded only when `run_options` carries a fault
 /// plan: a fault-free row does not measure them.
 inline local::RunResult record_engine_run(Harness& harness, const std::string& instance,

@@ -76,6 +76,7 @@ inline constexpr Metric kMetrics[] = {
     {"restarts", "count", Gate::kExact},           // restarts applied by the fault plan
     {"messages_dropped", "count", Gate::kExact},   // messages dropped in flight
     {"checkpoint_bytes", "bytes", Gate::kExact},   // serialised EngineCheckpoint size
+    {"outputs_fnv", "hash", Gate::kExact},         // local::outputs_fnv, top 53 bits (e9)
     {"restore_ms", "ms", Gate::kNone},             // checkpoint read + engine restore
     {"send_ms", "ms", Gate::kNone},                // engine send-phase wall-clock
     {"receive_ms", "ms", Gate::kNone},             // engine receive-phase wall-clock

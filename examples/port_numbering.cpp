@@ -2,8 +2,8 @@
 // shows both directions of the relationship:
 //
 //   * the edge-coloured greedy runs unchanged in the PN model (colours as
-//     local inputs, ports on the wire) — and it is even a *broadcast*
-//     algorithm, the weakest variant the paper mentions;
+//     local inputs, ports on the wire), sending in each round on the one
+//     port that round decides;
 //   * without colours, deterministic PN algorithms are helpless on
 //     symmetric instances: on the consistently port-numbered cycle, every
 //     algorithm's outputs are uniform and uniform outputs are never a
@@ -56,7 +56,7 @@ int main() {
   std::cout << "figure-1 graph: PN rounds = " << via_pn.rounds
             << ", coloured rounds = " << direct.rounds << ", outputs "
             << (via_pn.outputs == direct.outputs ? "identical" : "DIFFER (bug)")
-            << "\n(greedy passed the engine's broadcast check: one message fits all ports)\n\n";
+            << "\n(greedy sends on one port per round: the one whose colour that round decides)\n\n";
 
   std::cout << "== direction 2: symmetry defeats pure PN algorithms ==\n";
   for (int n : {4, 5, 8, 13}) {

@@ -43,6 +43,7 @@ bool GreedyProgram::init(const Colour* incident, int degree) {
   // The row outlives the run on every engine — borrow it.
   incident_ = incident;
   degree_ = degree;
+  cursor_ = 0;
   // Step 1 needs no communication: an incident colour-1 edge matches both
   // of its endpoints immediately (a properly coloured graph has at most one
   // such edge per node, and its other endpoint reasons identically).
@@ -64,9 +65,18 @@ bool GreedyProgram::try_finish(int completed_step) {
   return false;
 }
 
-void GreedyProgram::send(int /*round*/, local::Outbox& out) {
-  // One status byte on every port: matched or free.
-  out.broadcast(matched_ ? std::string_view("M") : std::string_view("F"));
+int GreedyProgram::port_for(int round) {
+  // Rounds only move forward, so the cursor passes each port once per run.
+  const int colour = round + 1;
+  while (cursor_ < degree_ && incident_[cursor_] < colour) ++cursor_;
+  return cursor_ < degree_ && incident_[cursor_] == colour ? cursor_ : -1;
+}
+
+void GreedyProgram::send(int round, local::Outbox& out) {
+  // One status byte, matched or free, on the only port round t decides:
+  // colour t+1.  The other endpoint of that edge reads exactly this port.
+  const int port = port_for(round);
+  if (port >= 0) out.set(port, matched_ ? std::string_view("M") : std::string_view("F"));
 }
 
 bool GreedyProgram::receive(int round, const local::Inbox& in) {
@@ -74,24 +84,29 @@ bool GreedyProgram::receive(int round, const local::Inbox& in) {
   // of step t, which decides step t+1 — so only the colour-(t+1) port can
   // change our fate.
   const int next = round + 1;
-  if (!matched_) {
-    for (int i = 0; i < in.ports(); ++i) {
-      if (in.colour(i) != next) continue;
-      // A halted neighbour announces its output; a matched announcement or
-      // an explicit "M" both mean "taken".  An announced ⊥ means
-      // permanently free, but a ⊥ neighbour can never be our colour-(t+1)
-      // partner anyway (it halted only after its last chance passed), so
-      // treat it as free.
-      const std::string_view m = in.at(i);
-      const bool neighbour_matched =
-          m == "M" || (!m.empty() && m.front() == local::kHaltedPrefix && m != "!0");
-      if (!neighbour_matched) {
-        matched_ = true;
-        output_ = static_cast<Colour>(next);
-      }
+  const int port = port_for(round);
+  if (!matched_ && port >= 0) {
+    // A halted neighbour announces its output; a matched announcement or
+    // an explicit "M" both mean "taken".  An announced ⊥ means permanently
+    // free, but a ⊥ neighbour can never be our colour-(t+1) partner anyway
+    // (it halted only after its last chance passed), so treat it as free.
+    const std::string_view m = in.at(port);
+    const bool neighbour_matched =
+        m == "M" || (!m.empty() && m.front() == local::kHaltedPrefix && m != "!0");
+    if (!neighbour_matched) {
+      matched_ = true;
+      output_ = static_cast<Colour>(next);
     }
   }
   return try_finish(/*completed_step=*/next);
+}
+
+int GreedyProgram::wake_round(int round) const {
+  // Colour c is decided in round c-1; until then send writes nothing and
+  // receive only confirms that the node is still running.
+  int i = cursor_;
+  while (i < degree_ && incident_[i] <= round + 1) ++i;
+  return i < degree_ ? incident_[i] - 1 : round + 1;
 }
 
 void GreedyProgram::save_state(std::string& out) const {
@@ -105,6 +120,7 @@ void GreedyProgram::load_state(std::string_view in) {
   }
   matched_ = in[0] != '\0';
   output_ = static_cast<Colour>(static_cast<unsigned char>(in[1]));
+  cursor_ = 0;  // port_for re-derives it from the next round it sees
 }
 
 local::ProgramSource greedy_program_factory() {

@@ -33,24 +33,33 @@ std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system);
 
 /// Message-passing greedy.  Halts at round c-1 when matched along colour c;
 /// an never-matched node halts once its largest incident colour has been
-/// resolved.  Allocation-free: it keeps init's pointer to the incident
-/// colour row, and its only message is a one-byte matched/free status.
+/// resolved.  Round t decides colour class t+1 only, so a node sends and
+/// reads just its colour-(t+1) port — and sleeps (wake_round) through the
+/// rounds in which it has none.  Allocation-free: it keeps init's pointer
+/// to the incident colour row, and its only message is a one-byte
+/// matched/free status.
 class GreedyProgram final : public local::NodeProgram {
  public:
   bool init(const Colour* incident, int degree) override;
   void send(int round, local::Outbox& out) override;
   bool receive(int round, const local::Inbox& in) override;
   Colour output() const override { return output_; }
+  /// The round deciding the next incident colour above round + 1.
+  int wake_round(int round) const override;
   // Checkpoint hooks: the whole dynamic state is {matched_, output_} — the
-  // incident colours are re-derived by init.  Two bytes per node.
+  // incident colours are re-derived by init, and the port cursor from the
+  // round of the next call.  Two bytes per node.
   void save_state(std::string& out) const override;
   void load_state(std::string_view in) override;
 
  private:
   bool try_finish(int completed_step);
+  /// The port of colour round + 1, or -1 when there is none.
+  int port_for(int round);
 
   const Colour* incident_ = nullptr;  // sorted; the engine's row
   int degree_ = 0;
+  int cursor_ = 0;  // first port whose colour is not yet decided (monotone)
   Colour output_ = local::kUnmatched;
   bool matched_ = false;
 };

@@ -27,6 +27,19 @@ std::string halted_announcement(Colour output) {
   return std::string(text, static_cast<std::size_t>(end - text));
 }
 
+std::uint64_t outputs_fnv(const RunResult& run) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const Colour c : run.outputs) mix(c);
+  for (const int r : run.halt_round) mix(static_cast<std::uint32_t>(r));
+  return h;
+}
+
 namespace {
 
 double elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -227,6 +240,7 @@ class SyncSession final : public Session {
     }
     for (std::size_t v = 0; v < n; ++v) {
       if (halted_[v] || down_[v]) continue;
+      ++result_.node_steps;
       const SyncInbox in(rows_[v], inboxes[v]);
       if (pool_[v]->receive(round, in)) {
         halted_[v] = 1;

@@ -53,7 +53,7 @@ class Outbox {
   }
 
   /// Same bytes on every port.
-  virtual void broadcast(std::string_view bytes) {
+  void broadcast(std::string_view bytes) {
     for (int port = 0; port < count_; ++port) write(port, bytes);
   }
 
@@ -118,6 +118,19 @@ class NodeProgram {
 
   /// The local output; valid once halted.
   virtual Colour output() const = 0;
+
+  /// Sleep hint: the next round in which this node's send or receive can
+  /// matter.  Engines ask after init (as round 0) and after every receive
+  /// that does not halt.  The contract: in every round after `round` and
+  /// before the hint, send writes nothing and receive neither changes state
+  /// nor halts, whatever it reads — so waking a node early is always
+  /// harmless.  run_flat steps a node only in the rounds it asked for, in
+  /// the first round after a restore, and, if it was down when due, in the
+  /// first round it is up again; run_sync ignores the hint and steps every
+  /// running node, which makes the flat ≡ sync suites the soundness test
+  /// of a hint.  A hint ≤ round means round + 1; a hint past max_rounds is
+  /// clamped to it.  The default never sleeps.
+  virtual int wake_round(int round) const { return round + 1; }
 
   // Checkpoint hooks (optional; checkpoint.hpp).  save_state serialises
   // everything the program's future behaviour depends on *beyond* what
@@ -195,7 +208,17 @@ struct RunResult {
   // threads − 1 (one pool per process).  0 on every serial path
   // (run_sync, threads = 1).  Not part of engine equivalence.
   std::size_t threads_spawned = 0;
+  // Programs stepped (one send + receive each), summed over rounds: every
+  // running node per round on run_sync, only the awake ones on run_flat
+  // (NodeProgram::wake_round).  Counts the rounds simulated by this run
+  // only, not those before a resumed checkpoint.  Not part of engine
+  // equivalence.
+  std::uint64_t node_steps = 0;
 };
+
+/// FNV-1a over the per-node outputs and halt rounds: the one-line
+/// fingerprint of a run's simulated behaviour.
+std::uint64_t outputs_fnv(const RunResult& run);
 
 /// Fault injection for a run: a borrowed FaultPlan (faults.hpp).  The plan
 /// must outlive the run; nullptr or an empty plan means a fault-free run.

@@ -19,7 +19,7 @@ constexpr std::uint8_t kSpillLen = 0xff;
 
 /// Auto chunking (FlatEngineOptions::chunk_slots == 0): aim for this many
 /// chunks per worker so the tail imbalance of the last chunks stays a
-/// small fraction of a phase, with a floor so tiny graphs do not shatter
+/// small fraction of a phase, with a floor so small rounds do not shatter
 /// into per-node chunks whose claim overhead exceeds their work.
 constexpr std::size_t kChunksPerWorker = 16;
 constexpr std::size_t kMinAutoChunkSlots = 1024;
@@ -93,27 +93,6 @@ class FlatOutbox final : public Outbox {
     base_ = base;
     colours_ = colours;
     count_ = count;
-  }
-
-  void broadcast(std::string_view bytes) override {
-    if (count_ == 0) return;
-    if (bytes.size() > kFlatInlineBytes) {
-      // Spilling broadcasts are rare; the generic path handles the arena.
-      Outbox::broadcast(bytes);
-      return;
-    }
-    // The hot path of constant-size protocols (greedy sends one status
-    // byte to every neighbour): one stats update and one prepared 8-byte
-    // slot store per port.
-    stats_.max_bytes = std::max(stats_.max_bytes, bytes.size());
-    stats_.total_bytes += bytes.size() * static_cast<std::size_t>(count_);
-    stats_.sent += static_cast<std::size_t>(count_);
-    FlatSlot proto;
-    proto.stamp = stamp_;
-    proto.len = static_cast<std::uint8_t>(bytes.size());
-    if (!bytes.empty()) std::memcpy(proto.payload, bytes.data(), bytes.size());
-    FlatSlot* row = plane_.slots.data() + base_;
-    for (int port = 0; port < count_; ++port) row[port] = proto;
   }
 
  private:
@@ -196,9 +175,14 @@ FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, ProgramSource source,
   const int budget = runtime_ != nullptr ? runtime_->threads() : options.threads;
   workers_ = std::max(1, std::min(budget, kMaxFlatWorkers));
   if (workers_ > n_) workers_ = std::max(1, n_);
+  chunk_slots_ = options.chunk_slots;
   steal_ = options.steal;
   build_csr();
-  if (workers_ > 1) plan_chunks(options.chunk_slots);
+  if (workers_ > 1) {
+    run_begin_.assign(static_cast<std::size_t>(workers_), 0);
+    run_end_.assign(static_cast<std::size_t>(workers_), 0);
+    cursors_ = std::make_unique<ChunkCursor[]>(static_cast<std::size_t>(workers_));
+  }
   if (runtime_ == nullptr) {
     // A standalone engine owns a runtime of exactly its worker count and
     // spawns the pool now, once — per-round thread creations are zero by
@@ -231,6 +215,9 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   source_.build(static_cast<std::size_t>(n_), pool_);
   running_ = n_;
   round_ = 0;
+  wake_at_.assign(static_cast<std::size_t>(n_), 0);
+  wake_next_.assign(static_cast<std::size_t>(n_), -1);
+  wake_head_.assign(kWakeRing, -1);
   if (cp != nullptr) {
     // init still runs on every node — programs re-derive graph-shaped
     // state from it; the round-0 halt decisions it reports are already in
@@ -242,12 +229,21 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
     apply_checkpoint(*cp, result_, halted_, down_, dead_, pool_);
     running_ = cp->running;
     round_ = cp->round;
+    // Every running node wakes in the first resumed round.  An extra
+    // wake-up is harmless (engine.hpp), so the checkpoint needs no hints.
+    for (graph::NodeIndex v = 0; v < n_; ++v) {
+      const auto sv = static_cast<std::size_t>(v);
+      if (!halted_[sv] && !dead_[sv]) schedule(v, round_ + 1, round_);
+    }
   } else {
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       const std::size_t begin = row_[static_cast<std::size_t>(v)];
-      if (pool_[static_cast<std::size_t>(v)]->init(port_colour_.data() + begin, degree(v))) {
+      NodeProgram& program = *pool_[static_cast<std::size_t>(v)];
+      if (program.init(port_colour_.data() + begin, degree(v))) {
         halt(v, /*round=*/0);
         --running_;
+      } else {
+        schedule(v, program.wake_round(0), 0);
       }
     }
   }
@@ -358,32 +354,34 @@ void FlatEngine::step_round(int round) {
   if (round > 1 && stamp == 1) wipe_running_rows();
   FlatPlane& plane = *plane_;
   plane.new_round();
+  wake(round);
+  result_.node_steps += awake_.size();
+  if (workers_ > 1) plan_chunks();
 
-  // Phase 1: running nodes stream this round's messages into their own
-  // slot rows; down and dead nodes send nothing.  A chunk (contiguous node
-  // range) is claimed by exactly one worker per phase, so no two workers
+  // Phase 1: this round's awake nodes stream their messages into their own
+  // slot rows; sleeping nodes write nothing, and their slots keep older
+  // stamps, which read as absent.  A chunk (contiguous range of the awake
+  // list) is claimed by exactly one worker per phase, so no two workers
   // ever touch the same slot.
   const auto send_start = std::chrono::steady_clock::now();
-  for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
+  for_chunks([&](int worker, std::size_t begin, std::size_t end) {
     FlatOutbox out(plane, worker, stamp, stats_[static_cast<std::size_t>(worker)]);
-    for (graph::NodeIndex v = begin; v < end; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      const std::size_t row = row_[static_cast<std::size_t>(v)];
-      out.at_node(row, port_colour_.data() + row, degree(v));
-      pool_[static_cast<std::size_t>(v)]->send(round, out);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto v = static_cast<std::size_t>(awake_[i]);
+      out.at_node(row_[v], port_colour_.data() + row_[v], degree(awake_[i]));
+      pool_[v]->send(round, out);
     }
   });
 
-  // Drop accounting: one serial pass over the freshly stamped slots,
-  // counting exactly what run_sync counts while building its inboxes — a
-  // message actually in flight (running sender wrote the port, running
-  // receiver on the other end) whose (round, sender, colour) hash says
-  // drop.  The count is therefore read-independent: a program that never
-  // reads the port still loses (and counts) the same messages.  Delivery
-  // masking happens separately in resolve().
+  // Drop accounting: one serial pass over the awake senders' freshly
+  // stamped slots, counting exactly what run_sync counts while building its
+  // inboxes — a message actually in flight (running sender wrote the port,
+  // running receiver on the other end) whose (round, sender, colour) hash
+  // says drop.  The count is therefore read-independent: a program that
+  // never reads the port still loses (and counts) the same messages.
+  // Delivery masking happens separately in resolve().
   if (drop_mask_) {
-    for (graph::NodeIndex u = 0; u < n_; ++u) {
-      if (halted_[static_cast<std::size_t>(u)] || down_[static_cast<std::size_t>(u)]) continue;
+    for (const graph::NodeIndex u : awake_) {
       const std::size_t begin = row_[static_cast<std::size_t>(u)];
       const std::size_t end = row_[static_cast<std::size_t>(u) + 1];
       for (std::size_t s = begin; s < end; ++s) {
@@ -397,18 +395,21 @@ void FlatEngine::step_round(int round) {
   result_.send_ns += phase_elapsed_ns(send_start);
 
   const auto receive_start = std::chrono::steady_clock::now();
-  // Phase 2: hand each running node a lazy view over its peers' slots,
+  // Phase 2: hand each awake node a lazy view over its peers' slots,
   // reflecting the start-of-round halted state (a node halting this
   // round must not leak its decision to same-round receivers).  New
-  // halts are collected per worker and applied after the barrier.
-  for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
+  // halts are collected per worker and applied after the barrier; a node
+  // that keeps running leaves its sleep hint in wake_at_.
+  for_chunks([&](int worker, std::size_t begin, std::size_t end) {
     FlatInbox in(*this, plane, stamp);
-    for (graph::NodeIndex v = begin; v < end; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      const std::size_t row = row_[static_cast<std::size_t>(v)];
-      in.at_node(row, port_colour_.data() + row, degree(v));
-      if (pool_[static_cast<std::size_t>(v)]->receive(round, in)) {
-        newly_halted_[static_cast<std::size_t>(worker)].push_back(v);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto v = static_cast<std::size_t>(awake_[i]);
+      in.at_node(row_[v], port_colour_.data() + row_[v], degree(awake_[i]));
+      NodeProgram& program = *pool_[v];
+      if (program.receive(round, in)) {
+        newly_halted_[static_cast<std::size_t>(worker)].push_back(awake_[i]);
+      } else {
+        wake_at_[v] = program.wake_round(round);
       }
     }
   });
@@ -424,6 +425,11 @@ void FlatEngine::step_round(int round) {
   for (auto& batch : newly_halted_) {
     for (graph::NodeIndex v : batch) render_announcement(v);
     batch.clear();
+  }
+  for (const graph::NodeIndex v : awake_) {
+    if (!halted_[static_cast<std::size_t>(v)]) {
+      schedule(v, wake_at_[static_cast<std::size_t>(v)], round);
+    }
   }
   result_.receive_ns += phase_elapsed_ns(receive_start);
 }
@@ -576,8 +582,9 @@ void FlatEngine::render_announcement(graph::NodeIndex v) {
 /// cached announcement without ever reading its slots, so halted rows
 /// are dead storage; the old full-plane wipe rewrote them every cycle
 /// (pinned by the two-tag-cycle regression in tests/test_flat_stress.cpp).
-/// Down rows are wiped too: a down node may restart mid-cycle and leave
-/// unwritten ports whose stale stamps must never alias a fresh tag.
+/// Sleeping and down rows are wiped too: such a node may wake mid-cycle
+/// and leave unwritten ports whose stale stamps must never alias a fresh
+/// tag.  This is the one per-cycle walk over all nodes.
 void FlatEngine::wipe_running_rows() {
   for (graph::NodeIndex v = 0; v < n_; ++v) {
     if (halted_[static_cast<std::size_t>(v)]) continue;
@@ -588,54 +595,83 @@ void FlatEngine::wipe_running_rows() {
   }
 }
 
-/// Pre-splits the node range into chunks of roughly `target` slot
-/// (directed-edge) weight — a node costs 1 + degree, so a run of
+/// Queues running node `v` in the bucket of its wake round: `hint` clamped
+/// to max_rounds, and round now + 1 when that is not past `now`.  A wake
+/// round more than a ring ahead is parked at the ring's far end; wake()
+/// re-parks it from there without stepping it.
+void FlatEngine::schedule(graph::NodeIndex v, int hint, int now) {
+  int at = std::min(hint, max_rounds_);
+  if (at <= now) at = now + 1;
+  wake_at_[static_cast<std::size_t>(v)] = at;
+  const int park = at - now > kWakeRing ? now + kWakeRing : at;
+  const auto slot = static_cast<std::size_t>(park & (kWakeRing - 1));
+  wake_next_[static_cast<std::size_t>(v)] = wake_head_[slot];
+  wake_head_[slot] = v;
+}
+
+/// Drains round `round`'s bucket into awake_: a node parked for a later
+/// round moves on, a dead node leaves the schedule, a down one waits for
+/// the next round, and every other node is stepped this round.  The order
+/// of awake_ affects only memory locality, never the RunResult.
+void FlatEngine::wake(int round) {
+  awake_.clear();
+  const auto slot = static_cast<std::size_t>(round & (kWakeRing - 1));
+  graph::NodeIndex v = wake_head_[slot];
+  wake_head_[slot] = -1;
+  while (v >= 0) {
+    const auto sv = static_cast<std::size_t>(v);
+    const graph::NodeIndex next = wake_next_[sv];
+    if (wake_at_[sv] > round) {
+      schedule(v, wake_at_[sv], round);
+    } else if (down_[sv]) {
+      if (!dead_[sv]) schedule(v, round + 1, round);
+    } else {
+      awake_.push_back(v);
+    }
+    v = next;
+  }
+}
+
+/// Splits the round's awake list into chunks of roughly `chunk_slots_`
+/// slot (directed-edge) weight — a node costs 1 + degree, so a run of
 /// max-degree hub rows splits into many chunks while the same node count
 /// of leaves packs into one.  The chunk list is then divided into one
-/// contiguous run per worker, balanced by cumulative weight; each run
-/// gets a cache-line-isolated atomic cursor that for_chunks resets per
-/// phase and workers drain (and steal from) with fetch_add.
-void FlatEngine::plan_chunks(std::size_t chunk_slots) {
-  const std::size_t total =
-      row_[static_cast<std::size_t>(n_)] + static_cast<std::size_t>(n_);
-  std::size_t target = chunk_slots;
+/// contiguous run per worker, balanced by cumulative weight; each run has
+/// a cache-line-isolated atomic cursor that for_chunks resets per phase
+/// and workers drain (and steal from) with fetch_add.
+void FlatEngine::plan_chunks() {
+  std::size_t total = 0;
+  for (const graph::NodeIndex v : awake_) total += 1 + static_cast<std::size_t>(degree(v));
+  std::size_t target = chunk_slots_;
   if (target == 0) {
     target = std::max(kMinAutoChunkSlots,
                       total / (static_cast<std::size_t>(workers_) * kChunksPerWorker));
   }
   chunks_.clear();
-  std::vector<std::size_t> weight;  // per chunk, for the run split below
   {
-    graph::NodeIndex begin = 0;
+    std::size_t begin = 0;
     std::size_t acc = 0;
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      acc += 1 + static_cast<std::size_t>(degree(v));
+    for (std::size_t i = 0; i < awake_.size(); ++i) {
+      acc += 1 + static_cast<std::size_t>(degree(awake_[i]));
       if (acc >= target) {
-        chunks_.push_back({begin, v + 1});
-        weight.push_back(acc);
-        begin = v + 1;
+        chunks_.push_back({begin, i + 1, acc});
+        begin = i + 1;
         acc = 0;
       }
     }
-    if (begin < n_) {
-      chunks_.push_back({begin, n_});
-      weight.push_back(acc);
-    }
+    if (begin < awake_.size()) chunks_.push_back({begin, awake_.size(), acc});
   }
   // Contiguous per-worker runs with balanced cumulative weight: worker w
   // owns chunks [run_begin_[w], run_end_[w]).  Runs may be empty (fewer
   // chunks than workers); the drain loop tolerates that.
-  run_begin_.assign(static_cast<std::size_t>(workers_), 0);
-  run_end_.assign(static_cast<std::size_t>(workers_), 0);
-  cursors_ = std::make_unique<ChunkCursor[]>(static_cast<std::size_t>(workers_));
   std::size_t cut = 0;
   std::size_t carried = 0;
   for (int w = 0; w < workers_; ++w) {
     const std::size_t share =
         total * static_cast<std::size_t>(w + 1) / static_cast<std::size_t>(workers_);
     run_begin_[static_cast<std::size_t>(w)] = static_cast<std::int64_t>(cut);
-    while (cut < chunks_.size() && carried + weight[cut] <= share) {
-      carried += weight[cut];
+    while (cut < chunks_.size() && carried + chunks_[cut].weight <= share) {
+      carried += chunks_[cut].weight;
       ++cut;
     }
     if (w + 1 == workers_) cut = chunks_.size();  // the tail always lands somewhere
@@ -643,20 +679,30 @@ void FlatEngine::plan_chunks(std::size_t chunk_slots) {
   }
 }
 
-/// Runs fn(worker, begin, end) over the planned chunks, in-line when
-/// workers_ == 1.  Each worker drains its own chunk run through an
-/// atomic cursor, then (when stealing is on) round-robins through the
-/// other workers' cursors until every run is dry — so a worker stuck on
-/// hub-heavy chunks cannot leave the rest idle.  `worker` is always the
-/// *executing* worker: stats, spill arenas and halt batches stay
-/// worker-indexed no matter whose chunk is being run, which is what
-/// keeps results schedule-independent.  Exceptions propagate through
-/// the pool's first-exception-wins barrier, matching the serial
+/// Runs fn(worker, begin, end) over the planned chunks of awake_, in-line
+/// when workers_ == 1 or the round is a single chunk.  Each worker drains
+/// its own chunk run through an atomic cursor, then (when stealing is on)
+/// round-robins through the other workers' cursors until every run is
+/// dry — so a worker stuck on hub-heavy chunks cannot leave the rest idle.
+/// `worker` is always the *executing* worker: stats, spill arenas and halt
+/// batches stay worker-indexed no matter whose chunk is being run, which
+/// is what keeps results schedule-independent.  Exceptions propagate
+/// through the pool's first-exception-wins barrier, matching the serial
 /// engine's fail-fast contract.
 template <class F>
 void FlatEngine::for_chunks(const F& fn) {
   if (workers_ == 1) {
-    fn(0, 0, n_);
+    fn(0, std::size_t{0}, awake_.size());
+    return;
+  }
+  // Lazy shared-pool spawn: exactly one session's call creates the threads
+  // and inherits them into its threads_spawned gauge; every other session
+  // (and every engine whose private pool already exists) adds 0, so the
+  // per-runtime sum stays threads - 1.
+  result_.threads_spawned += runtime_->ensure_pool();
+  if (chunks_.size() <= 1) {
+    // Waking the pool for one chunk only adds a barrier round trip.
+    if (!chunks_.empty()) fn(0, chunks_[0].begin, chunks_[0].end);
     return;
   }
   for (int w = 0; w < workers_; ++w) {
@@ -674,11 +720,6 @@ void FlatEngine::for_chunks(const F& fn) {
       drain((worker + step) % workers_, worker, fn);
     }
   };
-  // Lazy shared-pool spawn: exactly one session's call creates the threads
-  // and inherits them into its threads_spawned gauge; every other session
-  // (and every engine whose private pool already exists) adds 0, so the
-  // per-runtime sum stays threads - 1.
-  result_.threads_spawned += runtime_->ensure_pool();
   runtime_->pool()->run(phase);
 }
 

@@ -17,17 +17,22 @@
 //   * a halted node's announcement is rendered once, when it halts — and
 //     only if a still-running neighbour can read it — then served from
 //     that cache in every later round;
+//   * a round steps only its awake nodes (NodeProgram::wake_round): every
+//     running node sits in exactly one wake bucket, and a round's send and
+//     receive phases walk the list drawn from its bucket instead of all n
+//     nodes.  A sleeping node writes nothing, so its slots read as absent
+//     exactly as run_sync's do for a node that sent nothing;
 //   * the send and receive phases optionally run on the persistent worker
 //     pool of a Runtime (runtime.hpp) — a shared one, or, for a standalone
 //     engine, a private one sized to options.threads whose pool is spawned
 //     once in the constructor, parked on a condition-variable barrier
-//     between phases, and joined in the destructor.  Work is pre-split
-//     into chunks of roughly equal *slot* (directed-edge) weight, so a run
-//     of max-degree hub rows no longer serialises one worker the way the
-//     old node-count partition did, and workers that exhaust their own
-//     chunk run steal the remainder of the others' (options.steal).
-//     Writes stay per-slot disjoint — a chunk is claimed by exactly one
-//     worker per phase — so no locks are taken on the plane itself.
+//     between phases, and joined in the destructor.  Each round's awake
+//     list is split into chunks of roughly equal *slot* (directed-edge)
+//     weight, so a run of max-degree hub rows does not serialise one
+//     worker, and workers that exhaust their own chunk run steal the
+//     remainder of the others' (options.steal).  Writes stay per-slot
+//     disjoint — a chunk is claimed by exactly one worker per phase — so
+//     no locks are taken on the plane itself.
 //
 // Results are bit-identical to run_sync for every thread count, chunk
 // size and steal setting: all racy-looking state (message stats, spill
@@ -79,11 +84,12 @@ struct FlatEngineOptions {
   /// the calling thread.  Values above the node count or kMaxFlatWorkers
   /// are clamped; results are identical for every value.
   int threads = 1;
-  /// Target slot (directed-edge) weight per work chunk.  0 (the default)
-  /// auto-sizes to roughly 16 chunks per worker, floored so tiny graphs
-  /// do not shatter into per-node chunks.  Smaller chunks balance skewed
-  /// degree distributions at the price of more atomic claims; results are
-  /// identical for every value (tests/test_flat_stress.cpp).
+  /// Target slot (directed-edge) weight per work chunk of a round's awake
+  /// list.  0 (the default) auto-sizes to roughly 16 chunks per worker,
+  /// floored so small rounds do not shatter into per-node chunks.  Smaller
+  /// chunks balance skewed degree distributions at the price of more
+  /// atomic claims; results are identical for every value
+  /// (tests/test_flat_stress.cpp).
   std::size_t chunk_slots = 0;
   /// When true (the default) a worker that drains its own chunk run keeps
   /// going on the other workers' remaining chunks, so a worker stuck on a
@@ -193,15 +199,18 @@ class FlatEngine {
   void merge_stats();  // folds the per-worker message stats into result_
   void render_announcement(graph::NodeIndex v);
   void wipe_running_rows();
-  void plan_chunks(std::size_t chunk_slots);
+  void schedule(graph::NodeIndex v, int hint, int now);
+  void wake(int round);
+  void plan_chunks();
   template <class F>
   void for_chunks(const F& fn);
   template <class F>
   void drain(int victim, int worker, const F& fn);
 
   struct Chunk {
-    graph::NodeIndex begin;
-    graph::NodeIndex end;
+    std::size_t begin;  // [begin, end) indexes awake_
+    std::size_t end;
+    std::size_t weight;  // slots + nodes
   };
   struct ChunkCursor;  // cache-line-isolated atomic claim cursor (flat_engine.cpp)
 
@@ -210,11 +219,13 @@ class FlatEngine {
   int max_rounds_ = 0;
   int n_ = 0;
   int workers_ = 1;
+  std::size_t chunk_slots_ = 0;
   bool steal_ = true;
   double build_ns_ = 0.0;
 
-  // Chunk plan (workers_ > 1 only): contiguous node ranges of roughly
-  // equal slot weight, split into one contiguous run per worker.
+  // Chunk plan of the current round (workers_ > 1 only): contiguous
+  // ranges of awake_ of roughly equal slot weight, split into one
+  // contiguous run per worker.
   std::vector<Chunk> chunks_;
   std::vector<std::int64_t> run_begin_;
   std::vector<std::int64_t> run_end_;
@@ -245,6 +256,16 @@ class FlatEngine {
   std::vector<char> dead_;
   std::vector<std::string> announcements_;
   std::unique_ptr<FlatPlane> plane_;
+
+  // Wake buckets: one intrusive list per slot of a kWakeRing-round ring,
+  // so memory is O(n + ring) whatever the hints or max_rounds.  A node
+  // waking more than a ring ahead is parked at the ring's far end and
+  // re-parked when that slot comes up, without being stepped.
+  static constexpr int kWakeRing = 256;
+  std::vector<int> wake_at_;                 // per node: its wake round
+  std::vector<graph::NodeIndex> wake_next_;  // per node: bucket list link
+  std::vector<graph::NodeIndex> wake_head_;  // per ring slot, -1 = empty
+  std::vector<graph::NodeIndex> awake_;      // the current round's stepped nodes
 
   // Fault context of the current run (set by begin(), read by resolve()).
   const FaultPlan* plan_ = nullptr;

@@ -170,9 +170,9 @@ PnGreedyResult greedy_via_pn(const graph::EdgeColouredGraph& g) {
                                                  g.incident_colours(v));
       },
       g.k() + 1,
-      // Greedy's messages carry only the matched/free status, so it is a
-      // broadcast algorithm — let the engine enforce that.
-      /*broadcast=*/true);
+      // Greedy writes its status on one port per round (its colour-(t+1)
+      // port), so it is not a broadcast algorithm.
+      /*broadcast=*/false);
   PnGreedyResult result;
   result.rounds = run.rounds;
   result.outputs.assign(static_cast<std::size_t>(g.node_count()), local::kUnmatched);

@@ -1,6 +1,7 @@
 #include "pn/pn_engine.hpp"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace dmm::pn {
 
@@ -37,9 +38,15 @@ PnRunResult run_pn(const PortNetwork& net, const PnFactory& factory, int max_rou
       if (halted[static_cast<std::size_t>(v)]) continue;
       outgoing[static_cast<std::size_t>(v)] = programs[static_cast<std::size_t>(v)]->send(round);
       if (broadcast) {
+        // Every port counts, an unset one as the empty message it delivers:
+        // sending on some ports and not others is port-dependent too.
         const auto& msgs = outgoing[static_cast<std::size_t>(v)];
-        for (const auto& [port, msg] : msgs) {
-          if (msg != msgs.begin()->second) {
+        const auto sent = [&msgs](Port p) {
+          const auto it = msgs.find(p);
+          return it == msgs.end() ? std::string_view() : std::string_view(it->second);
+        };
+        for (Port p = 2; p <= net.degree(v); ++p) {
+          if (sent(p) != sent(1)) {
             throw std::logic_error("run_pn: broadcast algorithm sent port-dependent messages");
           }
         }

@@ -3,9 +3,10 @@
 //
 // A PN program initially knows only its degree; it exchanges messages per
 // port.  In the broadcast variant, a node must send the *same* message on
-// all ports (enforced by the engine); the edge-coloured greedy algorithm
-// is naturally a broadcast algorithm — its messages carry only the node's
-// matched/free status.
+// all ports (enforced by the engine, an unset port counting as the empty
+// message).  The edge-coloured greedy algorithm is not a broadcast
+// algorithm: in round t it writes its status only on its colour-(t+1)
+// port, the one port that round decides.
 #pragma once
 
 #include <functional>
@@ -47,8 +48,9 @@ struct PnRunResult {
   bool uniform_throughout = true;
 };
 
-/// Runs the PN engine.  If `broadcast` is true, throws if any node tries
-/// to send different messages on different ports.
+/// Runs the PN engine.  If `broadcast` is true, throws std::logic_error if
+/// any node sends different messages on different ports, where an unset
+/// port counts as the empty message (so a partial send throws).
 PnRunResult run_pn(const PortNetwork& net, const PnFactory& factory, int max_rounds,
                    bool broadcast = false);
 

@@ -50,6 +50,22 @@ RunOptions under(int max_rounds, const FaultPlan* plan,
   return options;
 }
 
+/// Three 6-leaf stars on colours 5..10 (k = 10).  Under greedy a hub
+/// sleeps until round 4 and a leaf until its colour's round, so crashes,
+/// restarts and checkpoint restores land while nodes are asleep.
+graph::EdgeColouredGraph sleepy_stars() { return graph::hub_cluster_graph(3, 6, 5); }
+
+/// Crashes aimed at sleepy_stars' sleepers.  Node 3 + 3j + h is hub h's
+/// colour-(5 + j) leaf.
+FaultPlan sleepy_star_crashes() {
+  FaultPlan plan;
+  plan.add_crash(18, 2, 3);  // colour-10 leaf: down and back up while asleep
+  plan.add_crash(10, 5, 3);  // colour-7 leaf: down through its round 6
+  plan.add_crash(1, 4, 1);   // hub 1: down in its round 4
+  plan.add_crash(20, 3, 0);  // colour-10 leaf: dies asleep
+  return plan;
+}
+
 // --- fault-plan plumbing ------------------------------------------------
 
 TEST(FaultPlan, EventsSortedAndRestartsBeforeCrashesOnTies) {
@@ -272,6 +288,20 @@ TEST(Faults, EnginesAgreeOnRandomFaultyRuns) {
                                "greedy n=" + std::to_string(n) + " k=" + std::to_string(k) +
                                    " seed=" + std::to_string(seed));
   }
+  const graph::EdgeColouredGraph stars = sleepy_stars();
+  expect_engines_agree_under(stars, algo::greedy_program_factory(), 64, sleepy_star_crashes(),
+                             "greedy sleepy stars");
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    FaultSpec spec;
+    spec.crash_prob = 0.3;
+    spec.permanent_prob = 0.2;
+    spec.drop_prob = (seed % 2 == 0) ? 0.2 : 0.0;
+    spec.horizon = stars.k() + 1;
+    spec.seed = seed * 17 + 3;
+    expect_engines_agree_under(stars, algo::greedy_program_factory(), 64,
+                               FaultPlan::random(stars, spec),
+                               "greedy sleepy stars seed=" + std::to_string(seed));
+  }
 }
 
 TEST(Faults, EnginesAgreeOnFloodingUnderFaults) {
@@ -288,6 +318,12 @@ TEST(Faults, EnginesAgreeOnFloodingUnderFaults) {
   FaultPlan drops;
   drops.set_drops(0.3, 99);
   expect_engines_agree_under(g, flood, 64, drops, "flooding drops");
+  const graph::EdgeColouredGraph stars = sleepy_stars();
+  const ProgramSource star_flood =
+      flooding_program_factory(std::make_shared<algo::GreedyLocal>(stars.k()), stars.k());
+  expect_engines_agree_under(stars, star_flood, 64, sleepy_star_crashes(),
+                             "flooding sleepy stars crashes");
+  expect_engines_agree_under(stars, star_flood, 64, drops, "flooding sleepy stars drops");
 }
 
 TEST(Faults, EnginesAgreeWhenEverythingDrops) {
@@ -298,6 +334,12 @@ TEST(Faults, EnginesAgreeWhenEverythingDrops) {
   EXPECT_GT(oracle.messages_dropped, 0u);
   expect_same_result(oracle, run_flat(g, algo::greedy_program_factory(), under(64, &plan)),
                      "total blackout");
+  const graph::EdgeColouredGraph stars = sleepy_stars();
+  const RunResult star_oracle =
+      run_sync(stars, algo::greedy_program_factory(), under(64, &plan));
+  EXPECT_GT(star_oracle.messages_dropped, 0u);
+  expect_engines_agree_under(stars, algo::greedy_program_factory(), 64, plan,
+                             "sleepy stars total blackout");
 }
 
 // --- checkpoint / restore: interrupted equals uninterrupted --------------
@@ -358,6 +400,8 @@ void expect_resume_equivalence(const graph::EdgeColouredGraph& g, const ProgramS
 TEST(Checkpoint, GreedyKillAtEveryRound) {
   const graph::EdgeColouredGraph g = graph::worst_case_chain(5).long_path;
   expect_resume_equivalence(g, algo::greedy_program_factory(), 16, nullptr, "greedy chain k=5");
+  expect_resume_equivalence(sleepy_stars(), algo::greedy_program_factory(), 16, nullptr,
+                            "greedy sleepy stars");
 }
 
 TEST(Checkpoint, GreedyKillAtEveryRoundUnderFaults) {
@@ -368,6 +412,9 @@ TEST(Checkpoint, GreedyKillAtEveryRoundUnderFaults) {
   plan.set_drops(0.15, 12);
   expect_resume_equivalence(g, algo::greedy_program_factory(), 64, &plan,
                             "greedy chain k=5 faulty");
+  const FaultPlan star_plan = sleepy_star_crashes();
+  expect_resume_equivalence(sleepy_stars(), algo::greedy_program_factory(), 64, &star_plan,
+                            "greedy sleepy stars faulty");
 }
 
 TEST(Checkpoint, FloodingKillAtEveryRound) {
@@ -381,6 +428,11 @@ TEST(Checkpoint, FloodingKillAtEveryRound) {
   FaultPlan plan;
   plan.add_crash(1, 1, 2);
   expect_resume_equivalence(g, flood, 64, &plan, "flooding chain k=4 faulty");
+  const graph::EdgeColouredGraph stars = sleepy_stars();
+  const ProgramSource star_flood =
+      flooding_program_factory(std::make_shared<algo::GreedyLocal>(stars.k()), stars.k());
+  const FaultPlan star_plan = sleepy_star_crashes();
+  expect_resume_equivalence(stars, star_flood, 64, &star_plan, "flooding sleepy stars faulty");
 }
 
 TEST(Checkpoint, RandomGraphKillAtEveryRound) {
@@ -394,6 +446,11 @@ TEST(Checkpoint, RandomGraphKillAtEveryRound) {
   spec.seed = 4242;
   const FaultPlan plan = FaultPlan::random(g, spec);
   expect_resume_equivalence(g, algo::greedy_program_factory(), 64, &plan, "random n=40 k=6");
+  const graph::EdgeColouredGraph stars = sleepy_stars();
+  spec.horizon = stars.k() + 1;
+  const FaultPlan star_plan = FaultPlan::random(stars, spec);
+  expect_resume_equivalence(stars, algo::greedy_program_factory(), 64, &star_plan,
+                            "random plan on sleepy stars");
 }
 
 TEST(Checkpoint, FlatEngineObjectCheckpointStream) {

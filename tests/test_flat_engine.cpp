@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -161,6 +162,39 @@ class PartialSender final : public NodeProgram {
   int heard_ = 0;
 };
 
+/// A sleeper is awake in rounds 1 and kWake only — past the 255-round tag
+/// wrap and past the flat engine's wake ring — sending "s" then "w" on
+/// every port and folding what it hears; it halts in round kWake.  A
+/// listener reads every port every round until kWake + 5.  Both fold what
+/// they hear, and when, into their output, so a stale round-1 slot aliasing
+/// round 256's stamp would change it.
+class WrapSleeper final : public NodeProgram {
+ public:
+  static constexpr int kWake = 300;
+  explicit WrapSleeper(bool listener) : listener_(listener) {}
+  bool init(const Colour*, int) override { return false; }
+  void send(int round, Outbox& out) override {
+    if (!listener_ && awake(round)) out.broadcast(round == 1 ? "s" : "w");
+  }
+  bool receive(int round, const Inbox& in) override {
+    if (!awake(round)) return false;
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch) + round;
+    }
+    return round >= (listener_ ? kWake + 5 : kWake);
+  }
+  int wake_round(int round) const override {
+    return listener_ || round == 0 ? round + 1 : kWake;
+  }
+  Colour output() const override { return static_cast<Colour>(sum_ % 251); }
+
+ private:
+  bool awake(int round) const { return listener_ || round == 1 || round == kWake; }
+
+  bool listener_;
+  std::size_t sum_ = 0;
+};
+
 TEST(FlatEngine, ProgramZooAgrees) {
   Rng rng(7);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(40, 6, 0.8, rng);
@@ -171,6 +205,94 @@ TEST(FlatEngine, ProgramZooAgrees) {
   expect_engines_agree(g, staggered, 10, "staggered-halts");
   expect_engines_agree(g, pooled<SpillGrower>(), 10, "spill-grower");
   expect_engines_agree(g, pooled<PartialSender>(), 10, "partial-sender");
+  const ProgramSource sleepers([](std::size_t count, ProgramPool& pool) {
+    for (std::size_t v = 0; v < count; ++v) pool.emplace<WrapSleeper>(v % 3 == 0);
+  });
+  expect_engines_agree(g, sleepers, WrapSleeper::kWake + 5, "tag-wrap sleepers");
+}
+
+/// Halts in round `halt` but claims to sleep until round `hint` — an
+/// unsound hint when hint > halt.  Counts its receives in `*steps`.
+class Oversleeper final : public NodeProgram {
+ public:
+  Oversleeper(int halt, int hint, int* steps) : halt_(halt), hint_(hint), steps_(steps) {}
+  bool init(const Colour*, int) override { return false; }
+  void send(int, Outbox&) override {}
+  bool receive(int round, const Inbox&) override {
+    ++*steps_;
+    return round >= halt_;
+  }
+  int wake_round(int) const override { return hint_; }
+  Colour output() const override { return kUnmatched; }
+
+ private:
+  int halt_;
+  int hint_;
+  int* steps_;
+};
+
+TEST(FlatEngine, UnsoundHintIsCaughtBySync) {
+  // run_sync steps every node every round, so a hint that sleeps through
+  // the node's halting round shows as a RunResult mismatch — which is what
+  // makes the flat ≡ sync suites the soundness test of every hint.
+  const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
+  int steps = 0;
+  const RunResult sync = run_sync(g, pooled<Oversleeper>(3, 5, &steps), 10);
+  const RunResult flat = run_flat(g, pooled<Oversleeper>(3, 5, &steps), 10);
+  EXPECT_EQ(sync.rounds, 3);
+  EXPECT_EQ(flat.rounds, 5);
+  EXPECT_NE(sync.halt_round, flat.halt_round);
+  EXPECT_EQ(sync.node_steps, 9u);
+  EXPECT_EQ(flat.node_steps, 3u);
+}
+
+TEST(FlatEngine, HintPastMaxRoundsIsClamped) {
+  // An INT_MAX hint on nodes that never halt: both engines throw the same
+  // "did not halt" error, and the flat engine steps each node once, in
+  // round max_rounds, where the hint is clamped.  Its wake buckets are a
+  // fixed ring, so nothing is sized by the hint or by max_rounds.
+  const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
+  constexpr int kNever = std::numeric_limits<int>::max();
+  const auto error_of = [&g](EngineKind kind, int threads, int* steps) {
+    FlatEngineOptions options;
+    options.threads = threads;
+    const ProgramSource source = pooled<Oversleeper>(kNever, kNever, steps);
+    try {
+      if (kind == EngineKind::kSync) {
+        run_sync(g, source, 50);
+      } else {
+        run_flat(g, source, 50, options);
+      }
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  int sync_steps = 0;
+  const std::string sync_error = error_of(EngineKind::kSync, 1, &sync_steps);
+  EXPECT_NE(sync_error.find("did not halt within max_rounds"), std::string::npos) << sync_error;
+  EXPECT_EQ(sync_steps, 3 * 50);
+  for (const int threads : {1, 2}) {
+    int flat_steps = 0;
+    const std::string flat_error = error_of(EngineKind::kFlat, threads, &flat_steps);
+    EXPECT_NE(flat_error.find("did not halt within max_rounds"), std::string::npos)
+        << flat_error;
+    EXPECT_EQ(flat_steps, 3) << "threads=" << threads;
+  }
+}
+
+TEST(FlatEngine, SkewedGreedyStepsEachNodeOnce) {
+  // hub_cluster_graph(h, 128, 128): a hub decides all its edges in round
+  // 127 and each leaf's only colour c is decided in round c - 1, so with
+  // sleep hints every node is stepped exactly once, while the run still
+  // takes the full 254 rounds.
+  for (const int hubs : {10, 100}) {
+    const graph::EdgeColouredGraph g = graph::hub_cluster_graph(hubs, 128, 128);
+    const RunResult flat = run_flat(g, algo::greedy_program_factory(), 256);
+    EXPECT_EQ(flat.rounds, 254) << "hubs=" << hubs;
+    EXPECT_EQ(flat.node_steps, static_cast<std::uint64_t>(g.node_count())) << "hubs=" << hubs;
+    EXPECT_EQ(flat.messages_sent, static_cast<std::size_t>(g.node_count())) << "hubs=" << hubs;
+  }
 }
 
 TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {

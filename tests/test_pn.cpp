@@ -127,13 +127,106 @@ TEST(Adapter, GreedyThroughPnMatchesColouredEngine) {
   }
 }
 
-TEST(Adapter, GreedyIsABroadcastAlgorithm) {
-  // run_pn(broadcast=true) throws on port-dependent messages; greedy_via_pn
-  // enables that enforcement, so completing at all is the assertion.
-  const graph::EdgeColouredGraph g = graph::worst_case_chain(5).long_path;
-  const PnGreedyResult r = greedy_via_pn(g);
-  EXPECT_TRUE(verify::check_outputs(g, r.outputs).ok());
-  EXPECT_EQ(r.rounds, 4);
+/// Sends `first` on port 1 and `rest` on every other port (nothing where
+/// `rest` is empty); halts after one round.
+class TwoToned final : public PnProgram {
+ public:
+  TwoToned(Message first, Message rest) : first_(std::move(first)), rest_(std::move(rest)) {}
+  bool init(int degree) override {
+    degree_ = degree;
+    return false;
+  }
+  std::map<Port, Message> send(int) override {
+    std::map<Port, Message> out;
+    out[1] = first_;
+    if (!rest_.empty()) {
+      for (Port p = 2; p <= degree_; ++p) out[p] = rest_;
+    }
+    return out;
+  }
+  bool receive(int, const std::map<Port, Message>&) override { return true; }
+  PnOutput output() const override { return kPnUnmatched; }
+
+ private:
+  Message first_;
+  Message rest_;
+  int degree_ = 0;
+};
+
+TEST(PnEngine, BroadcastCheckCountsUnsetPortsAsEmpty) {
+  // An unset port delivers the empty message, so a send that fills some
+  // ports and leaves others unset is port-dependent.
+  const PortNetwork net = PortNetwork::symmetric_cycle(4);  // degree 2
+  const auto run = [&](const char* first, const char* rest) {
+    return run_pn(net, [&] { return std::make_unique<TwoToned>(first, rest); }, 2,
+                  /*broadcast=*/true);
+  };
+  EXPECT_NO_THROW(run("x", "x"));
+  EXPECT_THROW(run("x", "y"), std::logic_error);
+  EXPECT_THROW(run("x", ""), std::logic_error);  // port 2 left unset
+  EXPECT_NO_THROW(run("", ""));                  // port 1 empty, port 2 unset: same bytes
+}
+
+/// Greedy through the adapter, checking every send: at most one message,
+/// on the port of colour round + 1.
+class OnePortGreedy final : public PnProgram {
+ public:
+  OnePortGreedy(std::vector<gk::Colour> incident, std::size_t& messages)
+      : inner_(std::make_unique<algo::GreedyProgram>(), incident),
+        incident_(std::move(incident)),
+        messages_(messages) {}
+  bool init(int degree) override { return inner_.init(degree); }
+  std::map<Port, Message> send(int round) override {
+    std::map<Port, Message> out = inner_.send(round);
+    EXPECT_LE(out.size(), 1u) << "round " << round;
+    for (const auto& [port, msg] : out) {
+      EXPECT_EQ(incident_[static_cast<std::size_t>(port - 1)], round + 1) << "round " << round;
+    }
+    messages_ += out.size();
+    return out;
+  }
+  bool receive(int round, const std::map<Port, Message>& inbox) override {
+    return inner_.receive(round, inbox);
+  }
+  PnOutput output() const override { return inner_.output(); }
+
+ private:
+  ColouredAdapter inner_;
+  std::vector<gk::Colour> incident_;
+  std::size_t& messages_;
+};
+
+TEST(Adapter, GreedySendsOnlyOnItsColourPort) {
+  // Round t decides colour class t+1 only, so greedy writes its status on
+  // that one port — it is not a broadcast algorithm, and the PN engine's
+  // broadcast check rejects it.
+  Rng rng(823);
+  for (int trial = 0; trial < 10; ++trial) {
+    const int k = static_cast<int>(rng.uniform(3, 7));
+    const graph::EdgeColouredGraph g =
+        graph::random_coloured_graph(static_cast<int>(rng.uniform(6, 40)), k, 0.8, rng);
+    const PortNetwork net = PortNetwork::from_coloured(g);
+    std::size_t messages = 0;
+    graph::NodeIndex next = 0;
+    const PnFactory factory = [&]() -> std::unique_ptr<PnProgram> {
+      return std::make_unique<OnePortGreedy>(g.incident_colours(next++), messages);
+    };
+    const PnRunResult run = run_pn(net, factory, k + 1);
+    EXPECT_EQ(run.rounds, local::run_sync(g, algo::greedy_program_factory(), k + 1).rounds);
+    if (run.rounds > 0) {
+      EXPECT_GT(messages, 0u);
+    }
+    EXPECT_TRUE(verify::check_outputs(g, greedy_via_pn(g).outputs).ok());
+  }
+  // The long path's inner nodes have degree 2 and send on one port.
+  const graph::EdgeColouredGraph chain = graph::worst_case_chain(5).long_path;
+  const PortNetwork net = PortNetwork::from_coloured(chain);
+  graph::NodeIndex next = 0;
+  const PnFactory greedy = [&]() -> std::unique_ptr<PnProgram> {
+    return std::make_unique<ColouredAdapter>(std::make_unique<algo::GreedyProgram>(),
+                                             chain.incident_colours(next++));
+  };
+  EXPECT_THROW(run_pn(net, greedy, 6, /*broadcast=*/true), std::logic_error);
 }
 
 TEST(ProposalPn, ValidMaximalMatchingOnBipartiteInstances) {

@@ -2,9 +2,12 @@
 // endpoints' fates differ while their radius-(k-2) views coincide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/greedy.hpp"
 #include "graph/generators.hpp"
 #include "local/ball.hpp"
+#include "local/flat_engine.hpp"
 #include "verify/matching.hpp"
 
 namespace dmm {
@@ -18,6 +21,13 @@ TEST_P(WorstCaseSweep, GreedyTakesExactlyKMinusOneRounds) {
   const local::RunResult on_long = local::run_sync(wc.long_path, algo::greedy_program_factory(), k + 2);
   EXPECT_EQ(on_long.rounds, k - 1);
   EXPECT_TRUE(verify::check_outputs(wc.long_path, on_long.outputs).ok());
+  // The paper's lower bound as a self-check on the engine that lets nodes
+  // sleep: some node must still halt in exactly round k - 1.
+  const local::RunResult flat =
+      local::run_flat(wc.long_path, algo::greedy_program_factory(), k + 2);
+  EXPECT_EQ(*std::max_element(flat.halt_round.begin(), flat.halt_round.end()), k - 1);
+  EXPECT_EQ(flat.outputs, on_long.outputs);
+  EXPECT_EQ(flat.halt_round, on_long.halt_round);
 }
 
 TEST_P(WorstCaseSweep, EndpointFatesDiffer) {

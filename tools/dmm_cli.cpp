@@ -169,22 +169,6 @@ bool flag(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
-/// FNV-1a over the per-node outputs and halt rounds — the one-line
-/// fingerprint the CI fault-recovery step diffs between an interrupted
-/// and an uninterrupted run.
-std::uint64_t outputs_fnv(const local::RunResult& run) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const local::Colour c : run.outputs) mix(c);
-  for (const int r : run.halt_round) mix(static_cast<std::uint32_t>(r));
-  return h;
-}
-
 /// Wall-clock milliseconds since `start` on the steady clock.
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -317,7 +301,7 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
   if (flag(args, "--json")) {
     char fnv[32];
     std::snprintf(fnv, sizeof fnv, "%016llx",
-                  static_cast<unsigned long long>(outputs_fnv(run)));
+                  static_cast<unsigned long long>(local::outputs_fnv(run)));
     std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
               << local::engine_kind_name(*engine) << "\",\"threads\":" << threads
               << ",\"rounds\":" << run.rounds << ",\"matched_edges\":" << matched
@@ -327,7 +311,7 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
               << fnv << "\",\"init_ms\":" << run.init_ns / 1e6
               << ",\"send_ms\":" << run.send_ns / 1e6
               << ",\"receive_ms\":" << run.receive_ns / 1e6 << ",\"check_ms\":" << check_ms
-              << "}\n";
+              << ",\"node_steps\":" << run.node_steps << "}\n";
   } else {
     std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k() << ")\n";
     std::cout << "engine: " << local::engine_kind_name(*engine);
@@ -390,7 +374,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (!plan.empty()) ropts.faults.plan = &plan;
   const local::RunResult standalone =
       local::run(*engine, g, algo::greedy_program_factory(), ropts);
-  const std::uint64_t want = outputs_fnv(standalone);
+  const std::uint64_t want = local::outputs_fnv(standalone);
 
   svc::ServiceOptions opts;
   opts.inflight = std::stoi(option(args, "--inflight", "8"));
@@ -418,7 +402,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   bool all_match = true;
   for (int t = 0; t < tenants; ++t) {
     for (auto& future : futures[static_cast<std::size_t>(t)]) {
-      const std::uint64_t got = outputs_fnv(future.get());
+      const std::uint64_t got = local::outputs_fnv(future.get());
       tenant_fnv[static_cast<std::size_t>(t)] = got;
       if (got != want) {
         tenant_match[static_cast<std::size_t>(t)] = false;
