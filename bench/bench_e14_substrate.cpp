@@ -42,8 +42,8 @@ void print_rows(benchjson::Harness& harness) {
   std::printf("flat/sync speedup: %.1fx\n\n", sync_ns / flat_ns);
 
   // E14d: skewed (hub-cluster / power-law-style) instances — the gauge of
-  // ISSUE 7's degree-aware chunking + work stealing.  The node range opens
-  // with a contiguous run of max-degree hub rows, the layout on which the
+  // the degree-aware chunking and the shared chunk queue.  The node range
+  // opens with a contiguous run of max-degree hub rows, the layout on which the
   // old static node-count partition serialised one worker.  The small row
   // runs both engines (the run_sync oracle is O(d² log d) per hub-round,
   // so it stays small); the 258k-node row runs flat serial vs flat with 8

@@ -122,10 +122,10 @@ void print_rows(benchjson::Harness& harness) {
 
   // E9b: capture a checkpoint mid-run, then measure what recovery costs:
   // checkpoint_bytes is the serialised frame size, restore_ms times
-  // EngineCheckpoint::read (+ FlatEngine::restore on the flat row).  The
-  // resumed run must finish bit-identical to the uninterrupted one — the
-  // bench aborts if it ever does not, so a green baseline row doubles as a
-  // recovery smoke check.
+  // EngineCheckpoint::read (+ building the resumed flat session on the
+  // flat row).  The resumed run must finish bit-identical to the
+  // uninterrupted one — the bench aborts if it ever does not, so a green
+  // baseline row doubles as a recovery smoke check.
   std::printf("## E9b: checkpoint + restore, greedy under faults, every 2 rounds\n");
   std::printf("%-28s %-6s %12s %12s %13s %8s\n", "instance", "engine", "wall (ms)",
               "ckpt bytes", "restore (ms)", "resumed");
@@ -155,23 +155,21 @@ void print_rows(benchjson::Harness& harness) {
     record.set("checkpoint_bytes", bytes.size());
 
     // restore_ms: parse + validate the frames, and on the flat row also
-    // load them into a live engine (the sync engine has no persistent
-    // object to restore into — its resume path re-reads inside run_sync).
+    // construct the session that resumes them (CSR build, programs, state
+    // load) — the sync row's resume happens inside run_sync.
     local::EngineCheckpoint parsed;
+    local::CheckpointOptions resume;
+    resume.resume = &parsed;
+    const local::RunOptions resume_opts = run_options(rounds_budget, faults, resume);
     const double restore_ns = benchjson::Harness::time_ns([&] {
       std::istringstream in(bytes);
       parsed = local::EngineCheckpoint::read(in);
       parsed.require_matches(g);
       if (kind == local::EngineKind::kFlat) {
-        local::FlatEngine engine(g, algo::greedy_program_factory());
-        engine.restore(parsed);
+        (void)local::make_flat_session(g, algo::greedy_program_factory(), resume_opts);
       }
     });
     record.set("restore_ms", restore_ns / 1e6);
-
-    local::CheckpointOptions resume;
-    resume.resume = &parsed;
-    const local::RunOptions resume_opts = run_options(rounds_budget, faults, resume);
     const local::RunResult resumed =
         kind == local::EngineKind::kFlat
             ? local::run_flat(g, algo::greedy_program_factory(), resume_opts)
@@ -253,11 +251,14 @@ void BM_CheckpointRestore(benchmark::State& state) {
   std::ostringstream out;
   snap.write(out);
   const std::string bytes = out.str();
-  local::FlatEngine engine(g, algo::greedy_program_factory());
   for (auto _ : state) {
     std::istringstream in(bytes);
-    engine.restore(in);
-    benchmark::DoNotOptimize(engine.snapshot().round);
+    const local::EngineCheckpoint parsed = local::EngineCheckpoint::read(in);
+    local::CheckpointOptions resume;
+    resume.resume = &parsed;
+    const auto session = local::make_flat_session(g, algo::greedy_program_factory(),
+                                                  run_options(g.k() + 1, {}, resume));
+    benchmark::DoNotOptimize(session->round());
   }
 }
 BENCHMARK(BM_CheckpointRestore);

@@ -163,7 +163,7 @@ class SyncSession final : public Session {
     // Phase 0: apply this round's fault events before the send phase.  A
     // crash aimed at a halted or dead node is a no-op; a permanent crash
     // removes the node from the run (output stays ⊥, halt_round −1).
-    // Duplicated in FlatEngine on purpose: this is the reference copy that
+    // Duplicated in FlatSession on purpose: this is the reference copy that
     // Faults.EnginesAgree* compares the flat engine's against.
     if (plan_ != nullptr) {
       const std::vector<FaultEvent>& events = plan_->events();

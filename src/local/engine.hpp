@@ -186,8 +186,8 @@ struct RunResult {
   std::uint64_t restarts = 0;
   std::uint64_t messages_dropped = 0;
   // Wall-clock of the setup phase (program construction + init calls —
-  // and, on the flat engine, CSR construction, chunk planning and the
-  // worker-pool spawn, which all happen in the engine constructor), the
+  // and, on the flat engine, CSR construction and the worker-pool spawn,
+  // which also happen in the session constructor), the
   // part the pooled allocator exists to shrink; surfaced as `init_ms` in
   // the BENCH_*.json schema.  Not part of engine equivalence.
   double init_ns = 0.0;

@@ -30,7 +30,14 @@ double phase_elapsed_ns(std::chrono::steady_clock::time_point since) {
                                  .count());
 }
 
-}  // namespace
+/// Running totals for the paper's message-size accounting, one per worker.
+/// Cache-line aligned: every send updates it, and unpadded adjacent
+/// workers would false-share a line on each message.
+struct alignas(64) MessageStats {
+  std::size_t max_bytes = 0;
+  std::size_t total_bytes = 0;
+  std::size_t sent = 0;
+};
 
 /// One directed-edge message slot, sender-major: node v's outgoing message
 /// on its i-th port lives at slot row[v] + i, so the send phase streams
@@ -71,12 +78,6 @@ struct FlatPlane {
     for (auto& arena : *arenas) arena.clear();
   }
 };
-
-struct alignas(64) FlatEngine::ChunkCursor {
-  std::atomic<std::int64_t> next{0};
-};
-
-namespace {
 
 /// The flat engine's outbox: writes straight into the sender's own slot
 /// row.  One per chunk; at_node() rebinds it to the next sender, so the
@@ -134,14 +135,14 @@ class FlatOutbox final : public Outbox {
   MessageStats& stats_;
 };
 
-}  // namespace
+class FlatSession;
 
 /// The flat engine's inbox: a lazy view over the peers' slots (the
-/// engine's resolve() does the gather).  One per chunk, rebound per node.
+/// session's resolve() does the gather).  One per chunk, rebound per node.
 class FlatInbox final : public Inbox {
  public:
-  FlatInbox(const FlatEngine& engine, const FlatPlane& plane, std::uint8_t stamp)
-      : engine_(engine), plane_(plane), stamp_(stamp) {}
+  FlatInbox(const FlatSession& session, std::uint8_t stamp)
+      : session_(session), stamp_(stamp) {}
 
   void at_node(std::size_t row, const Colour* colours, int count) noexcept {
     row_ = row;
@@ -150,73 +151,190 @@ class FlatInbox final : public Inbox {
   }
 
  private:
-  std::string_view read(int port) const override {
-    return engine_.resolve(plane_, flat_slot(row_, port), stamp_);
-  }
+  std::string_view read(int port) const override;
 
-  const FlatEngine& engine_;
-  const FlatPlane& plane_;
+  const FlatSession& session_;
   std::size_t row_ = 0;  // first slot of the receiving node's row
   std::uint8_t stamp_;
 };
 
-FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, ProgramSource source,
-                       const FlatEngineOptions& options, Runtime* runtime)
-    : g_(g), source_(std::move(source)), runtime_(runtime) {
-  // Everything the constructor does — CSR construction, chunk planning,
-  // spawning a private pool — is setup work, timed into build_ns_ and
-  // folded into RunResult::init_ns.
-  const auto build_start = std::chrono::steady_clock::now();
-  n_ = g.node_count();
+/// A claim cursor on a line of its own: every worker fetch_adds it, and a
+/// neighbouring field on the same line would bounce with each claim.
+struct alignas(64) ChunkCursor {
+  std::atomic<std::size_t> next{0};
+};
+
+/// run_flat, stepwise.  The constructor is the setup phase (CSR build,
+/// worker-pool spawn, program construction, init delivery, checkpoint
+/// resume); step() is one round.  run_flat itself is a thin loop over this
+/// class, exactly as run_sync is over SyncSession (engine.cpp), so a
+/// stepped run is the closed run.
+class FlatSession final : public Session {
+ public:
+  /// Every session runs on a Runtime's pool and spill arenas, and takes its
+  /// borrow lock for each round step.  With `runtime` == nullptr the
+  /// session owns a private Runtime sized to engine_options.threads (after
+  /// the clamp) and spawns its pool here.  With a shared runtime the worker
+  /// count comes from runtime->threads() and nothing is spawned here (the
+  /// runtime spawns its pool lazily, once per process), so many concurrent
+  /// sessions multiplex on one pool (runtime.hpp).
+  FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
+              const RunOptions& options, const FlatEngineOptions& engine_options,
+              Runtime* runtime);
+
+  void step() override;
+  bool done() const noexcept override { return running_ == 0; }
+  int round() const noexcept override { return round_; }
+  RunResult result() override;
+
+  /// Lazy inbox resolution (Inbox::at): the message delivered into
+  /// receiver slot s this round.  The sender's slot is found by a binary
+  /// search of its (tiny, colour-sorted) row — programs typically read far
+  /// fewer ports than there are slots, so no in-slot table is kept.  Under
+  /// faults this is also where delivery is masked: a down sender reads as
+  /// absent, and a dropped message reads as absent without the sender's
+  /// slot ever being touched.
+  std::string_view resolve(std::size_t s, std::uint8_t stamp) const noexcept;
+
+ private:
+  void build_csr();
+
+  int degree(graph::NodeIndex v) const noexcept {
+    return static_cast<int>(row_[static_cast<std::size_t>(v) + 1] -
+                            row_[static_cast<std::size_t>(v)]);
+  }
+
+  void step_round(int round);
+
+  std::string_view slot_view(std::size_t s, std::uint8_t stamp) const noexcept;
+  void halt(graph::NodeIndex v, int round);
+  void merge_stats();  // folds the per-worker message stats into result_
+  void render_announcement(graph::NodeIndex v);
+  void wipe_running_rows();
+  void schedule(graph::NodeIndex v, int hint, int now);
+  void wake(int round);
+  void plan_chunks();
+  template <class F>
+  void for_chunks(const F& fn);
+
+  struct Chunk {
+    std::size_t begin;  // [begin, end) indexes awake_
+    std::size_t end;
+  };
+
+  const graph::EdgeColouredGraph& g_;
+  int n_;
+  int max_rounds_;
+  int workers_ = 1;
+  std::size_t chunk_slots_;
+
+  // Chunk plan of the current round (workers_ > 1 only): contiguous
+  // ranges of awake_ of roughly equal slot weight, claimed in order
+  // through one shared cursor.
+  std::vector<Chunk> chunks_;
+  ChunkCursor next_chunk_;
+  std::unique_ptr<Runtime> own_runtime_;  // standalone sessions only
+  Runtime* runtime_;                      // pool + arenas, borrowed per step
+
+  std::vector<std::size_t> row_;             // n+1 offsets, sender-major CSR
+  std::vector<Colour> port_colour_;          // per slot
+  std::vector<graph::NodeIndex> peer_node_;  // per slot: the port's neighbour
+
+  // Declared after the CSR vectors: programs may keep init's pointer into
+  // port_colour_, so the pool (and its destructors) must go first.
+  ProgramPool pool_;
+
+  RunResult result_;
+  int running_ = 0;
+  int round_ = 0;  // last completed round
+  bool planes_ready_ = false;
+  std::vector<MessageStats> stats_;  // per worker, folded into result_ by merge_stats
+  std::vector<std::vector<graph::NodeIndex>> newly_halted_;  // per worker
+  std::vector<char> halted_;
+  std::vector<char> down_;  // includes dead nodes (a dead node stays down)
+  std::vector<char> dead_;
+  std::vector<std::string> announcements_;
+  FlatPlane plane_;
+
+  // Wake buckets: one intrusive list per slot of a kWakeRing-round ring,
+  // so memory is O(n + ring) whatever the hints or max_rounds.  A node
+  // waking more than a ring ahead is parked at the ring's far end and
+  // re-parked when that slot comes up, without being stepped.
+  static constexpr int kWakeRing = 256;
+  std::vector<int> wake_at_;                 // per node: its wake round
+  std::vector<graph::NodeIndex> wake_next_;  // per node: bucket list link
+  std::vector<graph::NodeIndex> wake_head_;  // per ring slot, -1 = empty
+  std::vector<graph::NodeIndex> awake_;      // the current round's stepped nodes
+
+  // Fault context of the run (read by resolve()).
+  const FaultPlan* plan_ = nullptr;
+  bool drop_mask_ = false;
+  int round_now_ = 0;
+  std::size_t ev_ = 0;  // fault-event cursor
+
+  // Checkpoint sink of the run (fired by step()).
+  int every_;
+  std::function<void(const EngineCheckpoint&)> sink_;
+};
+
+std::string_view FlatInbox::read(int port) const {
+  return session_.resolve(flat_slot(row_, port), stamp_);
+}
+
+FlatSession::FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
+                         const RunOptions& options, const FlatEngineOptions& engine_options,
+                         Runtime* runtime)
+    : g_(g),
+      n_(g.node_count()),
+      max_rounds_(options.max_rounds),
+      chunk_slots_(engine_options.chunk_slots),
+      runtime_(runtime),
+      every_(options.checkpoint.every),
+      sink_(options.checkpoint.sink) {
+  plan_ = (options.faults.plan != nullptr && !options.faults.plan->empty())
+              ? options.faults.plan
+              : nullptr;
+  if (plan_ != nullptr) plan_->require_fits(n_);
+  drop_mask_ = plan_ != nullptr && plan_->has_drops();
+  const EngineCheckpoint* cp = options.checkpoint.resume;
+  if (cp != nullptr) cp->require_matches(g_);
+
+  // Everything from here on — CSR construction, spawning a private pool,
+  // program construction and init — is setup work, timed into init_ns.
+  const auto init_start = std::chrono::steady_clock::now();
   // Worker clamp: never more workers than nodes, never more than the
   // one-byte spill-arena index can address, and never fewer than one.  A
   // shared runtime fixes the worker budget (its pool is process-wide and
-  // fixed-size); a standalone engine takes it from options.threads.
-  const int budget = runtime_ != nullptr ? runtime_->threads() : options.threads;
+  // fixed-size); a standalone session takes it from engine_options.threads.
+  const int budget = runtime_ != nullptr ? runtime_->threads() : engine_options.threads;
   workers_ = std::max(1, std::min(budget, kMaxFlatWorkers));
   if (workers_ > n_) workers_ = std::max(1, n_);
-  chunk_slots_ = options.chunk_slots;
-  steal_ = options.steal;
   build_csr();
-  if (workers_ > 1) {
-    run_begin_.assign(static_cast<std::size_t>(workers_), 0);
-    run_end_.assign(static_cast<std::size_t>(workers_), 0);
-    cursors_ = std::make_unique<ChunkCursor[]>(static_cast<std::size_t>(workers_));
-  }
   if (runtime_ == nullptr) {
-    // A standalone engine owns a runtime of exactly its worker count and
+    // A standalone session owns a runtime of exactly its worker count and
     // spawns the pool now, once — per-round thread creations are zero by
     // construction, and threads_spawned stays workers − 1.
     own_runtime_ = std::make_unique<Runtime>(workers_);
     runtime_ = own_runtime_.get();
-    spawned_ = runtime_->ensure_pool();
+    result_.threads_spawned = runtime_->ensure_pool();
   }
-  plane_ = std::make_unique<FlatPlane>();
-  build_ns_ = phase_elapsed_ns(build_start);
-}
 
-FlatEngine::~FlatEngine() = default;
+  const auto n = static_cast<std::size_t>(n_);
+  result_.outputs.assign(n, kUnmatched);
+  result_.halt_round.assign(n, -1);
+  halted_.assign(n, 0);
+  down_.assign(n, 0);
+  dead_.assign(n, 0);
+  announcements_.assign(n, {});
 
-void FlatEngine::initialise(const EngineCheckpoint* cp) {
-  result_ = RunResult{};
-  result_.outputs.assign(static_cast<std::size_t>(n_), kUnmatched);
-  result_.halt_round.assign(static_cast<std::size_t>(n_), -1);
-  halted_.assign(static_cast<std::size_t>(n_), 0);
-  down_.assign(static_cast<std::size_t>(n_), 0);
-  dead_.assign(static_cast<std::size_t>(n_), 0);
-  announcements_.assign(static_cast<std::size_t>(n_), {});
-  pool_.clear();
-  pool_.reserve(static_cast<std::size_t>(n_));
-
-  // Setup phase (timed into init_ns): batch-construct every program in
-  // the pool's arena, then hand each node a pointer straight into its
-  // CSR colour row — no per-node vector is materialised.
-  const auto init_start = std::chrono::steady_clock::now();
-  source_.build(static_cast<std::size_t>(n_), pool_);
+  // Batch-construct every program in the pool's arena, then hand each
+  // node a pointer straight into its CSR colour row — no per-node vector
+  // is materialised.
+  pool_.reserve(n);
+  source.build(n, pool_);
   running_ = n_;
-  round_ = 0;
-  wake_at_.assign(static_cast<std::size_t>(n_), 0);
-  wake_next_.assign(static_cast<std::size_t>(n_), -1);
+  wake_at_.assign(n, 0);
+  wake_next_.assign(n, -1);
   wake_head_.assign(kWakeRing, -1);
   if (cp != nullptr) {
     // init still runs on every node — programs re-derive graph-shaped
@@ -247,41 +365,20 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
       }
     }
   }
-  result_.init_ns = build_ns_ + phase_elapsed_ns(init_start);
-  result_.threads_spawned = spawned_;
+  result_.init_ns = phase_elapsed_ns(init_start);
 
-  // Everything the rounds need is built lazily: a 0-round algorithm on a
-  // million nodes never pays for the message plane.
-  planes_ready_ = false;
+  // Per-worker round scratch.  The message plane itself is built lazily,
+  // by the first step: a 0-round algorithm on a million nodes never pays
+  // for it.
   stats_.assign(static_cast<std::size_t>(workers_), MessageStats{});
   newly_halted_.assign(static_cast<std::size_t>(workers_), {});
-}
 
-RunResult FlatEngine::run(const RunOptions& options) {
-  begin(options);
-  while (!done()) step();
-  return finish();
-}
-
-void FlatEngine::begin(const RunOptions& options) {
-  max_rounds_ = options.max_rounds;
-  plan_ = (options.faults.plan != nullptr && !options.faults.plan->empty())
-              ? options.faults.plan
-              : nullptr;
-  if (plan_ != nullptr) plan_->require_fits(n_);
-  faulty_ = plan_ != nullptr;
-  drop_mask_ = plan_ != nullptr && plan_->has_drops();
-  if (options.checkpoint.resume != nullptr) restore(*options.checkpoint.resume);
-  if (!primed_) initialise(nullptr);
-  primed_ = false;
-  every_ = options.checkpoint.every;
-  sink_ = options.checkpoint.sink;
   // On a resume the checkpointed flags already reflect every fault event
   // up to round_, so the cursor skips them.
   ev_ = plan_ != nullptr ? plan_->first_event_at(round_ + 1) : 0;
 }
 
-void FlatEngine::step() {
+void FlatSession::step() {
   const int round = round_ + 1;
   if (round > max_rounds_) {
     throw std::runtime_error("run_flat: algorithm did not halt within max_rounds");
@@ -291,11 +388,12 @@ void FlatEngine::step() {
   // Round `round` is now complete — the only point a checkpoint can be
   // captured (checkpoint.hpp explains why round boundaries suffice).
   if (every_ > 0 && sink_ && running_ > 0 && round % every_ == 0) {
-    sink_(snapshot());
+    merge_stats();
+    sink_(capture_checkpoint(g_, round_, running_, result_, halted_, down_, dead_, pool_));
   }
 }
 
-void FlatEngine::step_round(int round) {
+void FlatSession::step_round(int round) {
   // Borrow the runtime for the WHOLE step, not per phase: the spill arenas
   // may be shared across sessions and a payload spilled in the send phase
   // is read in this step's receive phase — another session's step in
@@ -333,7 +431,7 @@ void FlatEngine::step_round(int round) {
     }
   }
   if (!planes_ready_) {
-    plane_->configure(port_colour_.size(), runtime_->arenas());
+    plane_.configure(port_colour_.size(), runtime_->arenas());
     // Halts recorded before the first simulated round (round-0 halts, or
     // everything a restored checkpoint carries) rendered no announcements
     // yet; render the ones with a live audience now.
@@ -347,13 +445,12 @@ void FlatEngine::step_round(int round) {
   // not this round's tag is last round's (or older) data and reads as
   // absent, so nothing needs clearing.  Tags cycle through 1..255; the
   // plane is wiped when the cycle restarts so a stale stamp can never
-  // alias.  (A restored engine starts mid-cycle on a freshly zeroed
+  // alias.  (A resumed session starts mid-cycle on a freshly zeroed
   // plane — stamp 0 never matches a round tag, so that reads as absent
   // exactly like the uninterrupted run's stale-stamp slots.)
   const auto stamp = static_cast<std::uint8_t>(1 + (round - 1) % 255);
   if (round > 1 && stamp == 1) wipe_running_rows();
-  FlatPlane& plane = *plane_;
-  plane.new_round();
+  plane_.new_round();
   wake(round);
   result_.node_steps += awake_.size();
   if (workers_ > 1) plan_chunks();
@@ -365,7 +462,7 @@ void FlatEngine::step_round(int round) {
   // ever touch the same slot.
   const auto send_start = std::chrono::steady_clock::now();
   for_chunks([&](int worker, std::size_t begin, std::size_t end) {
-    FlatOutbox out(plane, worker, stamp, stats_[static_cast<std::size_t>(worker)]);
+    FlatOutbox out(plane_, worker, stamp, stats_[static_cast<std::size_t>(worker)]);
     for (std::size_t i = begin; i < end; ++i) {
       const auto v = static_cast<std::size_t>(awake_[i]);
       out.at_node(row_[v], port_colour_.data() + row_[v], degree(awake_[i]));
@@ -385,7 +482,7 @@ void FlatEngine::step_round(int round) {
       const std::size_t begin = row_[static_cast<std::size_t>(u)];
       const std::size_t end = row_[static_cast<std::size_t>(u) + 1];
       for (std::size_t s = begin; s < end; ++s) {
-        if (plane.slots[s].stamp != stamp) continue;
+        if (plane_.slots[s].stamp != stamp) continue;
         const graph::NodeIndex r = peer_node_[s];
         if (halted_[static_cast<std::size_t>(r)] || down_[static_cast<std::size_t>(r)]) continue;
         if (plan_->drops(round, u, port_colour_[s])) ++result_.messages_dropped;
@@ -401,7 +498,7 @@ void FlatEngine::step_round(int round) {
   // halts are collected per worker and applied after the barrier; a node
   // that keeps running leaves its sleep hint in wake_at_.
   for_chunks([&](int worker, std::size_t begin, std::size_t end) {
-    FlatInbox in(*this, plane, stamp);
+    FlatInbox in(*this, stamp);
     for (std::size_t i = begin; i < end; ++i) {
       const auto v = static_cast<std::size_t>(awake_[i]);
       in.at_node(row_[v], port_colour_.data() + row_[v], degree(awake_[i]));
@@ -434,7 +531,7 @@ void FlatEngine::step_round(int round) {
   result_.receive_ns += phase_elapsed_ns(receive_start);
 }
 
-void FlatEngine::merge_stats() {
+void FlatSession::merge_stats() {
   // The fold is commutative, so the merged totals equal run_sync's inline
   // accounting however the rounds were split across workers.
   for (MessageStats& s : stats_) {
@@ -445,28 +542,13 @@ void FlatEngine::merge_stats() {
   }
 }
 
-RunResult FlatEngine::finish() {
+RunResult FlatSession::result() {
   merge_stats();
   for (int r : result_.halt_round) result_.rounds = std::max(result_.rounds, r);
   return std::move(result_);
 }
 
-EngineCheckpoint FlatEngine::snapshot() {
-  merge_stats();
-  return capture_checkpoint(g_, round_, running_, result_, halted_, down_, dead_, pool_);
-}
-
-void FlatEngine::checkpoint(std::ostream& out) { snapshot().write(out); }
-
-void FlatEngine::restore(const EngineCheckpoint& cp) {
-  cp.require_matches(g_);
-  initialise(&cp);
-  primed_ = true;
-}
-
-void FlatEngine::restore(std::istream& in) { restore(EngineCheckpoint::read(in)); }
-
-void FlatEngine::build_csr() {
+void FlatSession::build_csr() {
   // Built straight from the edge list: one counting pass, one scatter
   // pass into an interleaved scratch (one cache miss per half-edge, not
   // two), then a sequential split + per-row insertion sort by colour.
@@ -511,21 +593,19 @@ void FlatEngine::build_csr() {
   }
 }
 
-std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
-                                     std::uint8_t stamp) const noexcept {
+std::string_view FlatSession::resolve(std::size_t s, std::uint8_t stamp) const noexcept {
   const graph::NodeIndex u = peer_node_[s];
   if (halted_[static_cast<std::size_t>(u)]) {
     return announcements_[static_cast<std::size_t>(u)];
   }
   // A down (or dead) sender reads as absent on the shared edge.
-  if (faulty_ && down_[static_cast<std::size_t>(u)]) return {};
+  if (plan_ != nullptr && down_[static_cast<std::size_t>(u)]) return {};
   const std::size_t u_row = row_[static_cast<std::size_t>(u)];
   const std::size_t u_end = row_[static_cast<std::size_t>(u) + 1];
   const auto begin = port_colour_.begin() + static_cast<std::ptrdiff_t>(u_row);
   const auto end = port_colour_.begin() + static_cast<std::ptrdiff_t>(u_end);
   const auto it = std::lower_bound(begin, end, port_colour_[s]);
-  const std::string_view view =
-      slot_view(plane, u_row + static_cast<std::size_t>(it - begin), stamp);
+  const std::string_view view = slot_view(u_row + static_cast<std::size_t>(it - begin), stamp);
   // Drop masking: a message the sender actually wrote this round reads as
   // absent when the (round, sender, colour) hash says drop.  Counting
   // happened in the serial pass of step_round; this is delivery only.
@@ -535,9 +615,8 @@ std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
   return view;
 }
 
-std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
-                                       std::uint8_t stamp) const noexcept {
-  const FlatSlot& slot = plane.slots[s];
+std::string_view FlatSession::slot_view(std::size_t s, std::uint8_t stamp) const noexcept {
+  const FlatSlot& slot = plane_.slots[s];
   if (slot.stamp != stamp) return {};
   if (slot.len != kSpillLen) return {slot.payload, slot.len};
   // Unpack the {offset:40, arena:8} spill address written by
@@ -548,12 +627,12 @@ std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
   }
   const auto arena = static_cast<unsigned char>(slot.payload[5]);
   std::uint32_t len = 0;
-  const char* base = (*plane.arenas)[arena].data() + off;
+  const char* base = (*plane_.arenas)[arena].data() + off;
   std::memcpy(&len, base, sizeof(len));
   return {base + sizeof(len), len};
 }
 
-void FlatEngine::halt(graph::NodeIndex v, int round) {
+void FlatSession::halt(graph::NodeIndex v, int round) {
   halted_[static_cast<std::size_t>(v)] = 1;
   result_.halt_round[static_cast<std::size_t>(v)] = round;
   result_.outputs[static_cast<std::size_t>(v)] =
@@ -564,7 +643,7 @@ void FlatEngine::halt(graph::NodeIndex v, int round) {
 /// with a non-halted neighbour, since nobody else ever reads the slot
 /// (run_sync re-renders this string per edge per round).  A down peer
 /// counts as audience: it may restart and read the announcement later.
-void FlatEngine::render_announcement(graph::NodeIndex v) {
+void FlatSession::render_announcement(graph::NodeIndex v) {
   const std::size_t begin = row_[static_cast<std::size_t>(v)];
   const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
   bool audience = false;
@@ -585,13 +664,13 @@ void FlatEngine::render_announcement(graph::NodeIndex v) {
 /// Sleeping and down rows are wiped too: such a node may wake mid-cycle
 /// and leave unwritten ports whose stale stamps must never alias a fresh
 /// tag.  This is the one per-cycle walk over all nodes.
-void FlatEngine::wipe_running_rows() {
+void FlatSession::wipe_running_rows() {
   for (graph::NodeIndex v = 0; v < n_; ++v) {
     if (halted_[static_cast<std::size_t>(v)]) continue;
     const std::size_t begin = row_[static_cast<std::size_t>(v)];
     const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
-    std::fill(plane_->slots.begin() + static_cast<std::ptrdiff_t>(begin),
-              plane_->slots.begin() + static_cast<std::ptrdiff_t>(end), FlatSlot{});
+    std::fill(plane_.slots.begin() + static_cast<std::ptrdiff_t>(begin),
+              plane_.slots.begin() + static_cast<std::ptrdiff_t>(end), FlatSlot{});
   }
 }
 
@@ -599,7 +678,7 @@ void FlatEngine::wipe_running_rows() {
 /// to max_rounds, and round now + 1 when that is not past `now`.  A wake
 /// round more than a ring ahead is parked at the ring's far end; wake()
 /// re-parks it from there without stepping it.
-void FlatEngine::schedule(graph::NodeIndex v, int hint, int now) {
+void FlatSession::schedule(graph::NodeIndex v, int hint, int now) {
   int at = std::min(hint, max_rounds_);
   if (at <= now) at = now + 1;
   wake_at_[static_cast<std::size_t>(v)] = at;
@@ -613,7 +692,7 @@ void FlatEngine::schedule(graph::NodeIndex v, int hint, int now) {
 /// round moves on, a dead node leaves the schedule, a down one waits for
 /// the next round, and every other node is stepped this round.  The order
 /// of awake_ affects only memory locality, never the RunResult.
-void FlatEngine::wake(int round) {
+void FlatSession::wake(int round) {
   awake_.clear();
   const auto slot = static_cast<std::size_t>(round & (kWakeRing - 1));
   graph::NodeIndex v = wake_head_[slot];
@@ -635,69 +714,50 @@ void FlatEngine::wake(int round) {
 /// Splits the round's awake list into chunks of roughly `chunk_slots_`
 /// slot (directed-edge) weight — a node costs 1 + degree, so a run of
 /// max-degree hub rows splits into many chunks while the same node count
-/// of leaves packs into one.  The chunk list is then divided into one
-/// contiguous run per worker, balanced by cumulative weight; each run has
-/// a cache-line-isolated atomic cursor that for_chunks resets per phase
-/// and workers drain (and steal from) with fetch_add.
-void FlatEngine::plan_chunks() {
-  std::size_t total = 0;
-  for (const graph::NodeIndex v : awake_) total += 1 + static_cast<std::size_t>(degree(v));
+/// of leaves packs into one.
+void FlatSession::plan_chunks() {
   std::size_t target = chunk_slots_;
   if (target == 0) {
+    std::size_t total = 0;
+    for (const graph::NodeIndex v : awake_) total += 1 + static_cast<std::size_t>(degree(v));
     target = std::max(kMinAutoChunkSlots,
                       total / (static_cast<std::size_t>(workers_) * kChunksPerWorker));
   }
   chunks_.clear();
-  {
-    std::size_t begin = 0;
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < awake_.size(); ++i) {
-      acc += 1 + static_cast<std::size_t>(degree(awake_[i]));
-      if (acc >= target) {
-        chunks_.push_back({begin, i + 1, acc});
-        begin = i + 1;
-        acc = 0;
-      }
+  std::size_t begin = 0;
+  std::size_t acc = 0;
+  for (std::size_t i = 0; i < awake_.size(); ++i) {
+    acc += 1 + static_cast<std::size_t>(degree(awake_[i]));
+    if (acc >= target) {
+      chunks_.push_back({begin, i + 1});
+      begin = i + 1;
+      acc = 0;
     }
-    if (begin < awake_.size()) chunks_.push_back({begin, awake_.size(), acc});
   }
-  // Contiguous per-worker runs with balanced cumulative weight: worker w
-  // owns chunks [run_begin_[w], run_end_[w]).  Runs may be empty (fewer
-  // chunks than workers); the drain loop tolerates that.
-  std::size_t cut = 0;
-  std::size_t carried = 0;
-  for (int w = 0; w < workers_; ++w) {
-    const std::size_t share =
-        total * static_cast<std::size_t>(w + 1) / static_cast<std::size_t>(workers_);
-    run_begin_[static_cast<std::size_t>(w)] = static_cast<std::int64_t>(cut);
-    while (cut < chunks_.size() && carried + chunks_[cut].weight <= share) {
-      carried += chunks_[cut].weight;
-      ++cut;
-    }
-    if (w + 1 == workers_) cut = chunks_.size();  // the tail always lands somewhere
-    run_end_[static_cast<std::size_t>(w)] = static_cast<std::int64_t>(cut);
-  }
+  if (begin < awake_.size()) chunks_.push_back({begin, awake_.size()});
 }
 
 /// Runs fn(worker, begin, end) over the planned chunks of awake_, in-line
-/// when workers_ == 1 or the round is a single chunk.  Each worker drains
-/// its own chunk run through an atomic cursor, then (when stealing is on)
-/// round-robins through the other workers' cursors until every run is
-/// dry — so a worker stuck on hub-heavy chunks cannot leave the rest idle.
-/// `worker` is always the *executing* worker: stats, spill arenas and halt
-/// batches stay worker-indexed no matter whose chunk is being run, which
+/// when workers_ == 1 or the round is a single chunk.  Otherwise every
+/// worker claims chunks in order from one shared cursor until the queue is
+/// dry, so a worker stuck on a hub-heavy chunk never leaves the rest idle.
+/// The cursor is a relaxed fetch_add: claimed values are unique, overshoot
+/// past the end is harmless (the cursor is reset before the next phase),
+/// and the pool's phase barrier provides all cross-phase ordering.
+/// `worker` is the executing worker: stats, spill arenas and halt batches
+/// stay worker-indexed whichever chunks a worker happens to claim, which
 /// is what keeps results schedule-independent.  Exceptions propagate
 /// through the pool's first-exception-wins barrier, matching the serial
 /// engine's fail-fast contract.
 template <class F>
-void FlatEngine::for_chunks(const F& fn) {
+void FlatSession::for_chunks(const F& fn) {
   if (workers_ == 1) {
     fn(0, std::size_t{0}, awake_.size());
     return;
   }
   // Lazy shared-pool spawn: exactly one session's call creates the threads
   // and inherits them into its threads_spawned gauge; every other session
-  // (and every engine whose private pool already exists) adds 0, so the
+  // (and every session whose private pool already exists) adds 0, so the
   // per-runtime sum stays threads - 1.
   result_.threads_spawned += runtime_->ensure_pool();
   if (chunks_.size() <= 1) {
@@ -705,40 +765,22 @@ void FlatEngine::for_chunks(const F& fn) {
     if (!chunks_.empty()) fn(0, chunks_[0].begin, chunks_[0].end);
     return;
   }
-  for (int w = 0; w < workers_; ++w) {
-    cursors_[static_cast<std::size_t>(w)].next.store(run_begin_[static_cast<std::size_t>(w)],
-                                                     std::memory_order_relaxed);
-  }
+  next_chunk_.next.store(0, std::memory_order_relaxed);
   auto phase = [&](int worker) {
-    // The shared pool may carry more parked threads than this engine has
-    // workers (the runtime budget is clamped per engine by node count);
+    // The shared pool may carry more parked threads than this session has
+    // workers (the runtime budget is clamped per session by node count);
     // surplus workers sit the phase out.
     if (worker >= workers_) return;
-    drain(worker, worker, fn);
-    if (!steal_) return;
-    for (int step = 1; step < workers_; ++step) {
-      drain((worker + step) % workers_, worker, fn);
+    for (;;) {
+      const std::size_t c = next_chunk_.next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks_.size()) return;
+      fn(worker, chunks_[c].begin, chunks_[c].end);
     }
   };
   runtime_->pool()->run(phase);
 }
 
-/// Claims chunks from `victim`'s run until its cursor passes the end and
-/// executes them as `worker`.  The cursor is a relaxed fetch_add:
-/// claimed values are unique, overshoot past the end is harmless (the
-/// cursor is reset before the next phase), and the pool's phase barrier
-/// provides all cross-phase ordering.
-template <class F>
-void FlatEngine::drain(int victim, int worker, const F& fn) {
-  const std::int64_t end = run_end_[static_cast<std::size_t>(victim)];
-  std::atomic<std::int64_t>& cursor = cursors_[static_cast<std::size_t>(victim)].next;
-  for (;;) {
-    const std::int64_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (c >= end) return;
-    const Chunk& chunk = chunks_[static_cast<std::size_t>(c)];
-    fn(worker, chunk.begin, chunk.end);
-  }
-}
+}  // namespace
 
 std::vector<std::size_t> flat_row_offsets(const std::vector<int>& degrees) {
   std::vector<std::size_t> offsets(degrees.size() + 1, 0);
@@ -749,34 +791,12 @@ std::vector<std::size_t> flat_row_offsets(const std::vector<int>& degrees) {
   return offsets;
 }
 
-namespace {
-
-/// Session adapter over FlatEngine: the engine IS the stepped run; this
-/// class only owns it and forwards the Session verbs.
-class FlatSession final : public Session {
- public:
-  FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-              const RunOptions& options, const FlatEngineOptions& engine_options,
-              Runtime* runtime)
-      : engine_(g, source, engine_options, runtime) {
-    engine_.begin(options);
-  }
-
-  void step() override { engine_.step(); }
-  bool done() const noexcept override { return engine_.done(); }
-  int round() const noexcept override { return engine_.round(); }
-  RunResult result() override { return engine_.finish(); }
-
- private:
-  FlatEngine engine_;
-};
-
-}  // namespace
-
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options, const FlatEngineOptions& engine_options,
                    Runtime* runtime) {
-  return FlatEngine(g, source, engine_options, runtime).run(options);
+  FlatSession session(g, source, options, engine_options, runtime);
+  while (!session.done()) session.step();
+  return session.result();
 }
 
 std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
@@ -789,11 +809,10 @@ std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
 
 std::unique_ptr<Session> make_session(EngineKind kind, const graph::EdgeColouredGraph& g,
                                       const ProgramSource& source, const RunOptions& options,
-                                      const FlatEngineOptions& engine_options,
                                       Runtime* runtime) {
   switch (kind) {
     case EngineKind::kFlat:
-      return make_flat_session(g, source, options, engine_options, runtime);
+      return make_flat_session(g, source, options, {}, runtime);
     case EngineKind::kSync:
       break;
   }

@@ -1,6 +1,6 @@
 // Execution runtime for the flat engine: one worker pool plus the spill
-// arenas it feeds.  Every FlatEngine runs on a Runtime — a standalone
-// engine owns a private one sized to its worker count, and many engine
+// arenas it feeds.  Every flat session runs on a Runtime — a standalone
+// run owns a private one sized to its worker count, and many engine
 // sessions (a service, a churn oracle) can share ONE per process:
 //
 //   * a shared pool is spawned lazily, on the first parallel phase any

@@ -115,14 +115,9 @@ struct MatchingService::Impl {
       local::RunOptions ropts;
       ropts.max_rounds = job.max_rounds;
       if (!job.faults.empty()) ropts.faults.plan = &entry->pending->job.faults;
-      local::FlatEngineOptions fopts;
-      fopts.threads = opts.threads;
-      fopts.chunk_slots = opts.chunk_slots;
-      fopts.steal = opts.steal;
       try {
         entry->session = local::make_session(job.engine, entry->pending->job.graph,
-                                             entry->pending->job.source, ropts, fopts,
-                                             &runtime);
+                                             entry->pending->job.source, ropts, &runtime);
       } catch (...) {
         entry->error = std::current_exception();
       }

@@ -250,10 +250,10 @@ std::vector<FlatEngineOptions> schedule_grid() {
   shattered.threads = 4;
   shattered.chunk_slots = 1;
   grid.push_back(shattered);
-  FlatEngineOptions no_steal;
-  no_steal.threads = 2;
-  no_steal.steal = false;
-  grid.push_back(no_steal);
+  FlatEngineOptions coarse;
+  coarse.threads = 2;
+  coarse.chunk_slots = 64;
+  grid.push_back(coarse);
   return grid;
 }
 
@@ -453,35 +453,35 @@ TEST(Checkpoint, RandomGraphKillAtEveryRound) {
                             "random plan on sleepy stars");
 }
 
-TEST(Checkpoint, FlatEngineObjectCheckpointStream) {
-  // The FlatEngine object API: checkpoint(ostream) from a sink, then a
-  // fresh engine restore(istream) + run() to the bit-identical result.
+TEST(Checkpoint, FlatResumesFromAByteStream) {
+  // The public checkpoint path through a byte stream: the sink writes the
+  // checkpoint's frames, EngineCheckpoint::read parses them back, and a
+  // threaded run_flat resumes them to the bit-identical result.
   const graph::EdgeColouredGraph g = graph::worst_case_chain(4).long_path;
   const ProgramSource source = algo::greedy_program_factory();
   const RunResult clean = run_flat(g, source, 16);
 
   std::stringstream bytes;
   int captured_round = 0;
-  {
-    FlatEngine engine(g, source);
-    CheckpointOptions opts;
-    opts.every = 2;
-    opts.sink = [&](const EngineCheckpoint& cp) {
-      if (cp.round == 2) {
-        bytes.str("");
-        engine.checkpoint(bytes);
-        captured_round = cp.round;
-      }
-    };
-    expect_same_result(clean, engine.run(under(16, nullptr, opts)), "checkpointed run");
-  }
+  CheckpointOptions opts;
+  opts.every = 2;
+  opts.sink = [&](const EngineCheckpoint& cp) {
+    if (cp.round == 2) {
+      bytes.str("");
+      cp.write(bytes);
+      captured_round = cp.round;
+    }
+  };
+  expect_same_result(clean, run_flat(g, source, under(16, nullptr, opts)), "checkpointed run");
   ASSERT_EQ(captured_round, 2);
 
+  const EngineCheckpoint parsed = EngineCheckpoint::read(bytes);
+  CheckpointOptions resume;
+  resume.resume = &parsed;
   FlatEngineOptions threaded;
   threaded.threads = 3;
-  FlatEngine resumed(g, source, threaded);
-  resumed.restore(bytes);
-  expect_same_result(clean, resumed.run(16), "restored engine");
+  expect_same_result(clean, run_flat(g, source, under(16, nullptr, resume), threaded),
+                     "resumed run");
 }
 
 TEST(Checkpoint, SinkFiresOnTheRequestedCadence) {
@@ -533,12 +533,8 @@ TEST(Checkpoint, WrongInstanceIsRejected) {
   resume.resume = &captured.checkpoints.front();
   EXPECT_THROW(run_sync(other, algo::greedy_program_factory(), under(16, nullptr, resume)),
                CheckpointError);
-  EXPECT_THROW(
-      {
-        FlatEngine engine(other, algo::greedy_program_factory());
-        engine.restore(captured.checkpoints.front());
-      },
-      CheckpointError);
+  EXPECT_THROW(run_flat(other, algo::greedy_program_factory(), under(16, nullptr, resume)),
+               CheckpointError);
 }
 
 /// Runs forever-ish with no save_state override.

@@ -1,12 +1,12 @@
 // Schedule-perturbation stress suite for the flat engine's persistent
-// work-stealing pool (ISSUE 7).
+// pool and its shared chunk queue.
 //
 // The pool's contract is that RunResult is a pure function of
-// (graph, program): the thread count, the chunk size and the steal switch
-// change only *which worker executes which chunk*, never the simulated
-// behaviour.  This suite perturbs the schedule across the full grid
+// (graph, program): the thread count and the chunk size change only
+// *which worker executes which chunk*, never the simulated behaviour.
+// This suite perturbs the schedule across the full grid
 //
-//   threads ∈ {1, 2, 7, 16} × chunk_slots ∈ {1, 64, default} × steal ∈ {on, off}
+//   threads ∈ {1, 2, 7, 16} × chunk_slots ∈ {1, 64, default}
 //
 // and asserts every RunResult field is identical to the run_sync oracle —
 // on random graphs for every engine realisation, on the maximally skewed
@@ -38,22 +38,21 @@ namespace {
 struct Schedule {
   int threads;
   std::size_t chunk_slots;
-  bool steal;
 };
 
 std::string schedule_str(const Schedule& s) {
-  return " [threads=" + std::to_string(s.threads) +
-         " chunk=" + std::to_string(s.chunk_slots) + (s.steal ? " steal" : " no-steal") + "]";
+  return " [threads=" + std::to_string(s.threads) + " chunk=" + std::to_string(s.chunk_slots) +
+         "]";
 }
 
-/// The full 24-configuration grid from the issue.  chunk_slots = 0 is the
-/// auto default; 1 shatters into per-node chunks (maximum stealing
-/// traffic); 64 sits between.
+/// The full 12-configuration grid.  chunk_slots = 0 is the auto default;
+/// 1 shatters into per-node chunks (maximum claim traffic on the shared
+/// cursor); 64 sits between.
 std::vector<Schedule> full_grid() {
   std::vector<Schedule> grid;
   for (int threads : {1, 2, 7, 16}) {
     for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{0}}) {
-      for (bool steal : {true, false}) grid.push_back({threads, chunk, steal});
+      grid.push_back({threads, chunk});
     }
   }
   return grid;
@@ -66,16 +65,15 @@ void expect_grid_agrees(const graph::EdgeColouredGraph& g, const ProgramSource& 
     FlatEngineOptions options;
     options.threads = s.threads;
     options.chunk_slots = s.chunk_slots;
-    options.steal = s.steal;
     expect_same_result(oracle, run_flat(g, source, max_rounds, options),
                        context + schedule_str(s));
   }
 }
 
 TEST(FlatStress, FuzzRealisationsAcrossScheduleGrid) {
-  // Every engine realisation on a spread of random instances, all 24
+  // Every engine realisation on a spread of random instances, all 12
   // schedules each.  Smaller instance count than test_flat_engine's fuzz —
-  // the grid multiplies every run by 24.
+  // the grid multiplies every run by 12.
   const std::vector<Schedule> grid = full_grid();
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed * 31 + 5);
@@ -94,8 +92,9 @@ TEST(FlatStress, FuzzRealisationsAcrossScheduleGrid) {
 TEST(FlatStress, StarGraphMaxSkewAgrees) {
   // The 255-leaf star is the most skewed instance the 8-bit colour model
   // admits: one row holds half of all slots, so with chunk_slots = 1 the
-  // hub row is a single chunk one worker must take while the others steal
-  // the leaves.  Greedy runs the full 254 rounds on it (k = 255).
+  // hub row is a single chunk one worker must take while the others claim
+  // the leaves' chunks from the shared queue.  Greedy runs the full 254
+  // rounds on it (k = 255).
   const graph::EdgeColouredGraph g = graph::star_graph(255);
   const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 256);
   EXPECT_EQ(oracle.rounds, 254);  // greedy's k - 1 bound, maximal here
@@ -107,7 +106,7 @@ TEST(FlatStress, HubClusterPowerLawAgrees) {
   // Two-point degree distribution {60, 1}: 40 max-degree hubs front-loaded
   // in node order — the adversarial layout for the old static node-count
   // partition, where worker 0 got all the hubs.  Degree-aware chunking
-  // splits the hub run; stealing drains it.
+  // splits the hub run; the shared chunk queue drains it.
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/40, /*hub_degree=*/60, /*first_colour=*/1);
   const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 64);
@@ -163,7 +162,7 @@ TEST(FlatStress, GreedySkewedAtHundredThousandNodes) {
   const RunResult oracle = run_flat(g, algo::greedy_program_factory(), 256);
   EXPECT_EQ(oracle.rounds, 254);
   const std::vector<Schedule> grid = {
-      {2, 0, true}, {7, 0, true}, {7, 0, false}, {7, 4096, true}, {16, 0, true},
+      {2, 0}, {7, 0}, {7, 64}, {7, 4096}, {16, 0},
   };
   expect_grid_agrees(g, algo::greedy_program_factory(), 256, oracle, grid,
                      "hub_cluster(776,128,first=128) greedy");
@@ -222,7 +221,7 @@ TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
 
 TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
   // The structural gauge of the persistent pool: it is created once in the
-  // engine constructor, so threads_spawned is workers − 1 — independent of
+  // session constructor, so threads_spawned is workers − 1 — independent of
   // the round count.  The old engine spawned 2·rounds·(workers−1) threads;
   // on this 600-round run that would have been 7188 with 7 workers.
   Rng rng(7);

@@ -1,7 +1,7 @@
 // dmm_cli — command-line driver for the library.
 //
 //   dmm_cli greedy     --instance <spec> [--engine <sync|flat>] [--threads <n>]
-//                      [--chunk-slots <n>] [--no-steal] [--faults <spec>]
+//                      [--chunk-slots <n>] [--faults <spec>]
 //                      [--checkpoint <path>] [--checkpoint-every <rounds>]
 //                      [--max-rounds <n>] [--round-sleep-ms <ms>] [--json]
 //   dmm_cli resume     <checkpoint-path> --instance <spec> [greedy options]
@@ -236,9 +236,8 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
   // identical for every setting; these tune throughput on skewed graphs).
   const long chunk_slots = std::stol(option(args, "--chunk-slots", "0"));
   if (chunk_slots < 0) fail(std::string(cmd) + ": --chunk-slots must be >= 0");
-  const bool no_steal = flag(args, "--no-steal");
-  if ((chunk_slots > 0 || no_steal) && *engine != local::EngineKind::kFlat) {
-    fail(std::string(cmd) + ": --chunk-slots/--no-steal require --engine flat");
+  if (chunk_slots > 0 && *engine != local::EngineKind::kFlat) {
+    fail(std::string(cmd) + ": --chunk-slots requires --engine flat");
   }
   const graph::EdgeColouredGraph g = parse_instance(spec);
 
@@ -289,7 +288,6 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
     local::FlatEngineOptions options;
     options.threads = threads;
     options.chunk_slots = static_cast<std::size_t>(chunk_slots);
-    options.steal = !no_steal;
     run = local::run_flat(g, algo::greedy_program_factory(), run_options, options);
   } else {
     run = local::run_sync(g, algo::greedy_program_factory(), run_options);
