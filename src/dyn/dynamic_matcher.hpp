@@ -27,7 +27,9 @@
 // be byte-equal — repair may keep an edge a fresh greedy run would not
 // pick — but both must pass verify::check_outputs after every batch;
 // docs/dynamic.md carries the invariant argument and
-// tests/test_dynamic.cpp enforces it across the churn grid.
+// tests/test_dynamic.cpp enforces it across the churn grid.  check()
+// gives check_outputs' report while testing only the nodes apply() wrote
+// since the last clean check and their neighbours (docs/dynamic.md).
 #pragma once
 
 #include <cstdint>
@@ -96,15 +98,32 @@ class DynamicMatcher {
   std::vector<Colour> recompute() { return recompute(opts_.engine); }
   std::vector<Colour> recompute(local::EngineKind engine);
 
-  /// check_outputs of the incremental matching against the current graph:
-  /// the full O(n + m) check (one edge pass, one node pass), not a
-  /// spot-check of the nodes the last batch touched.
-  verify::MatchingReport check() const { return verify::check_outputs(g_, outputs_); }
+  /// The report verify::check_outputs(graph(), outputs()) would give, at
+  /// O(Σ (1 + deg)) over the nodes written since the last check instead
+  /// of O(n + m).  (M1)–(M3) at a node read only its row and its
+  /// neighbours' outputs, so once a check has come back clean a later
+  /// violation can only sit on an endpoint of an edited edge, on a node
+  /// whose output changed, or on a current neighbour of one; check() runs
+  /// verify::check_node over exactly that region.  It trusts one thing:
+  /// that graph and outputs change only inside apply(), which records
+  /// every edit in a dirty set.  The first check after construction, and
+  /// every check after a non-clean one, is the full check_outputs; a
+  /// local hit falls back to it too, and its report is returned as is.
+  verify::MatchingReport check();
+
+  /// Nodes check() has tested over this matcher's lifetime (n per full
+  /// pass): the deterministic cost count behind check()'s bound.  Kept
+  /// out of RepairStats, which must not depend on whether anyone checks.
+  std::uint64_t check_visits() const noexcept { return check_visits_; }
 
  private:
   void apply_one(const ChurnOp& op);
   void rematch(graph::NodeIndex v);
   void touch(graph::NodeIndex v);
+  // The one write to outputs_ after seeding; marks v output-dirty.
+  void set_output(graph::NodeIndex v, Colour c);
+  void mark(graph::NodeIndex v, std::uint8_t why);
+  bool node_clean(graph::NodeIndex v);
 
   graph::EdgeColouredGraph g_;
   MatcherOptions opts_;
@@ -117,6 +136,15 @@ class DynamicMatcher {
   std::vector<std::uint32_t> touch_stamp_;
   std::uint32_t batch_stamp_ = 0;
   std::uint64_t touched_this_batch_ = 0;
+  // Writes since the last check(): dirty_[v] holds kEdgeDirty /
+  // kOutputDirty bits, and each node enters dirty_list_ once, so the list
+  // never outgrows n however many batches run between checks.
+  static constexpr std::uint8_t kEdgeDirty = 1;
+  static constexpr std::uint8_t kOutputDirty = 2;
+  std::vector<std::uint8_t> dirty_;
+  std::vector<graph::NodeIndex> dirty_list_;
+  bool verified_ = false;  // the last check() was clean
+  std::uint64_t check_visits_ = 0;
 };
 
 }  // namespace dmm::dyn

@@ -74,6 +74,14 @@ class EdgeColouredGraph {
   /// Sorted colours incident to v (the node's entire initial knowledge).
   std::vector<Colour> incident_colours(NodeIndex v) const;
 
+  /// Calls f(colour, neighbour) for each edge at v, in row order (which
+  /// edits permute), without allocating.
+  template <class F>
+  void for_each_incident(NodeIndex v, F&& f) const {
+    check_node(v);
+    for (const Half& h : adjacency_[static_cast<std::size_t>(v)]) f(h.colour, h.to);
+  }
+
   int degree(NodeIndex v) const;
   int max_degree() const;
 

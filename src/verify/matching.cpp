@@ -84,12 +84,14 @@ MatchingReport check_node(const graph::EdgeColouredGraph& g,
       report.violations.push_back({Violation::Kind::M2, v, *partner, out});
     }
   } else {
-    for (const Colour c : g.incident_colours(v)) {
-      const auto w = g.neighbour(v, c);
-      if (w && outputs[static_cast<std::size_t>(*w)] == local::kUnmatched) {
-        report.violations.push_back({Violation::Kind::M3, v, *w, c});
+    g.for_each_incident(v, [&](Colour c, graph::NodeIndex w) {
+      if (outputs[static_cast<std::size_t>(w)] == local::kUnmatched) {
+        report.violations.push_back({Violation::Kind::M3, v, w, c});
       }
-    }
+    });
+    // Row order follows the edit history; report by ascending colour.
+    std::sort(report.violations.begin(), report.violations.end(),
+              [](const Violation& a, const Violation& b) { return a.colour < b.colour; });
   }
   return report;
 }

@@ -43,10 +43,11 @@ MatchingReport check_outputs(const graph::EdgeColouredGraph& g,
 
 /// Checks (M1)-(M3) restricted to node v: v's own output (M1/M2) plus
 /// every incident edge's two-sided-⊥ condition (M3, reported from v's
-/// side).  Work is bounded by v's neighbourhood, independent of n and m.
-/// Clean at every node of N(v) ∪ {v} implies check_outputs clean at v.
-/// No library code calls it: DynamicMatcher::check() runs the full
-/// check_outputs.  Throws std::out_of_range if v is not a node of g.
+/// side, by ascending colour).  O(deg(v)) with no allocation when clean,
+/// independent of n and m.  Clean at every node of N(v) ∪ {v} implies
+/// check_outputs clean at v; DynamicMatcher::check() runs it over the
+/// region a churn batch can have broken.  Throws std::out_of_range if v
+/// is not a node of g.
 MatchingReport check_node(const graph::EdgeColouredGraph& g,
                           const std::vector<Colour>& outputs, graph::NodeIndex v);
 

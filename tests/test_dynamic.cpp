@@ -3,6 +3,7 @@
 // every batch — cross-checked against a recompute-from-scratch oracle on
 // both engines — and every counter must be a pure function of
 // (instance, seed), independent of engine and thread count.
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -45,10 +46,26 @@ struct ChurnResult {
   std::vector<Colour> outputs;
 };
 
+/// check()'s report must be check_outputs', violation for violation.
+void expect_same_report(const verify::MatchingReport& got, const verify::MatchingReport& want) {
+  ASSERT_EQ(got.violations.size(), want.violations.size())
+      << "check():\n" << got.describe() << "check_outputs:\n" << want.describe();
+  for (std::size_t i = 0; i < got.violations.size(); ++i) {
+    const verify::Violation& a = got.violations[i];
+    const verify::Violation& b = want.violations[i];
+    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.node, b.node) << i;
+    EXPECT_EQ(a.other, b.other) << i;
+    EXPECT_EQ(a.colour, b.colour) << i;
+  }
+}
+
 /// Applies `plan` batch by batch, asserting after every batch that the
 /// incremental matching and a from-scratch oracle recompute both verify
-/// maximal.  (DynamicMatcher owns a Runtime and is not movable, so this
-/// returns the final stats and outputs rather than the matcher.)
+/// maximal, and that the matcher's narrowed check() reports exactly what
+/// the full check_outputs does.  (DynamicMatcher owns a Runtime and is
+/// not movable, so this returns the final stats and outputs rather than
+/// the matcher.)
 ChurnResult churn_and_check(const graph::EdgeColouredGraph& g, const ChurnPlan& plan,
                             EngineKind engine, int threads = 1) {
   MatcherOptions options;
@@ -60,6 +77,7 @@ ChurnResult churn_and_check(const graph::EdgeColouredGraph& g, const ChurnPlan& 
     matcher.apply(batch);
     const verify::MatchingReport incremental = matcher.check();
     EXPECT_TRUE(incremental.ok()) << incremental.describe();
+    expect_same_report(incremental, verify::check_outputs(matcher.graph(), matcher.outputs()));
     const std::vector<Colour> oracle = matcher.recompute();
     const verify::MatchingReport recomputed = verify::check_outputs(matcher.graph(), oracle);
     EXPECT_TRUE(recomputed.ok()) << recomputed.describe();
@@ -223,6 +241,118 @@ TEST(Dynamic, CheckNodeAgreesWithFullSweep) {
   }
   EXPECT_TRUE(flagged);
   EXPECT_FALSE(verify::check_outputs(g, bad).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The narrowed check: cost bounded by the dirty region, independent of n.
+// ---------------------------------------------------------------------------
+
+/// Σ (1 + deg) over the nodes a batch can dirty: op endpoints plus every
+/// node whose output differs across the batch.  (A node whose output
+/// changes and changes back inside one batch is an op endpoint.)  Degrees
+/// are read on the graph after the batch, which is what check() walks.
+std::uint64_t dirty_region_bound(const graph::EdgeColouredGraph& after, const ChurnBatch& batch,
+                                 const std::vector<Colour>& before,
+                                 const std::vector<Colour>& outputs) {
+  std::vector<char> dirty(outputs.size(), 0);
+  for (const ChurnOp& op : batch.ops) {
+    dirty[static_cast<std::size_t>(op.u)] = dirty[static_cast<std::size_t>(op.v)] = 1;
+  }
+  std::uint64_t bound = 0;
+  for (std::size_t v = 0; v < outputs.size(); ++v) {
+    if (dirty[v] || before[v] != outputs[v]) {
+      bound += 1 + static_cast<std::uint64_t>(after.degree(static_cast<graph::NodeIndex>(v)));
+    }
+  }
+  return bound;
+}
+
+TEST(Dynamic, CheckVisitsAreBoundedByTheDirtyRegion) {
+  const graph::EdgeColouredGraph g = grid_random();
+  const ChurnPlan plan = ChurnPlan::random(g, spec_of(8, 24, 0.5, 31));
+  DynamicMatcher m(g);
+  EXPECT_EQ(m.check_visits(), 0u);
+  ASSERT_TRUE(m.check().ok());
+  // The first check after construction is the full pass.
+  EXPECT_EQ(m.check_visits(), static_cast<std::uint64_t>(g.node_count()));
+  for (const ChurnBatch& batch : plan.batches()) {
+    const std::vector<Colour> before = m.outputs();
+    const std::uint64_t visits = m.check_visits();
+    m.apply(batch);
+    ASSERT_TRUE(m.check().ok());
+    const std::uint64_t spent = m.check_visits() - visits;
+    EXPECT_GT(spent, 0u);
+    EXPECT_LE(spent, dirty_region_bound(m.graph(), batch, before, m.outputs()));
+  }
+  // With nothing applied since the last check, a check tests no node.
+  const std::uint64_t settled = m.check_visits();
+  EXPECT_TRUE(m.check().ok());
+  EXPECT_EQ(m.check_visits(), settled);
+}
+
+TEST(Dynamic, CheckVisitsAreIndependentOfNodeCount) {
+  // The same plan on the graph and on the graph padded with 10⁴ isolated
+  // nodes: after the first (full) check, every check tests the same nodes.
+  const graph::EdgeColouredGraph g = grid_random();
+  const graph::EdgeColouredGraph padded(g.node_count() + 10000, g.k(), g.edges());
+  const ChurnPlan plan = ChurnPlan::random(g, spec_of(8, 24, 0.5, 57));
+  plan.require_applies(padded);
+  DynamicMatcher small(g);
+  DynamicMatcher large(padded);
+  ASSERT_TRUE(small.check().ok());
+  ASSERT_TRUE(large.check().ok());
+  EXPECT_EQ(small.check_visits(), static_cast<std::uint64_t>(g.node_count()));
+  EXPECT_EQ(large.check_visits(), static_cast<std::uint64_t>(padded.node_count()));
+  for (const ChurnBatch& batch : plan.batches()) {
+    const std::uint64_t small_before = small.check_visits();
+    const std::uint64_t large_before = large.check_visits();
+    small.apply(batch);
+    large.apply(batch);
+    ASSERT_TRUE(small.check().ok());
+    ASSERT_TRUE(large.check().ok());
+    EXPECT_EQ(small.check_visits() - small_before, large.check_visits() - large_before);
+  }
+}
+
+TEST(Dynamic, CheckCoversEveryBatchSinceTheLastCheck) {
+  // Several batches between checks: the dirty set accumulates (each node
+  // once) and one check still answers for all of them.
+  const graph::EdgeColouredGraph g = grid_hub();
+  const ChurnPlan plan = ChurnPlan::random(g, spec_of(6, 16, 0.5, 3));
+  DynamicMatcher m(g);
+  ASSERT_TRUE(m.check().ok());
+  for (std::size_t b = 0; b < plan.batches().size(); ++b) {
+    m.apply(plan.batches()[b]);
+    if (b % 3 != 2) continue;
+    const std::uint64_t visits = m.check_visits();
+    expect_same_report(m.check(), verify::check_outputs(m.graph(), m.outputs()));
+    EXPECT_LT(m.check_visits() - visits, static_cast<std::uint64_t>(g.node_count()));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: a typed error, never UB.
+// ---------------------------------------------------------------------------
+
+TEST(Dynamic, OutOfRangeEndpointThrowsWithMatcherUntouched) {
+  const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2, 1});  // 4 nodes
+  DynamicMatcher m(g);
+  ASSERT_TRUE(m.check().ok());
+  const std::vector<Colour> outputs = m.outputs();
+  const dyn::RepairStats stats = m.stats();
+  const std::uint64_t visits = m.check_visits();
+  const ChurnOp hostile[] = {insert_op(2, 100000, 2), insert_op(-1, 2, 2),
+                             insert_op(100000, -7, 1), delete_op(0, 100000, 1),
+                             delete_op(-5, 1, 1),      delete_op(4, 3, 1)};
+  for (const ChurnOp& op : hostile) {
+    EXPECT_THROW(m.apply(ChurnBatch{{op}}), std::invalid_argument) << op.u << " " << op.v;
+    EXPECT_EQ(m.graph().edge_count(), g.edge_count());
+    EXPECT_EQ(m.outputs(), outputs);
+    EXPECT_EQ(m.stats(), stats);
+  }
+  // Nothing was marked dirty: the next check tests no node.
+  EXPECT_TRUE(m.check().ok());
+  EXPECT_EQ(m.check_visits(), visits);
 }
 
 // ---------------------------------------------------------------------------

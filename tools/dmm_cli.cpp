@@ -19,6 +19,10 @@
 //   dmm_cli check      --certificate <path> --algorithm <spec>
 //   dmm_cli export-dot --instance <spec> [--out <path>]
 //
+// Any flag outside its command's list above (misspelt, or retired like
+// greedy's old --no-steal), an option missing its value, or a stray
+// argument is a usage error: exit 2 with a message.
+//
 // `views` runs the Remark-2 / Linial pipeline end to end — catalogue size,
 // compatible-pair count, CSP verdict — so the UNSAT frontier is
 // reproducible without building the bench binaries.  `--orbits` switches
@@ -68,6 +72,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -75,6 +80,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "core/dmm.hpp"
@@ -169,6 +175,36 @@ bool flag(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
+using Names = std::initializer_list<std::string_view>;
+
+/// Checks `args` against a command's grammar and returns its positional
+/// arguments.  `options` take a value, `flags` do not; an unknown or
+/// retired flag, an option missing its value, or more than `positionals`
+/// positional arguments is a usage error (exit 2), never silently ignored.
+std::vector<std::string> require_known(const std::string& cmd,
+                                       const std::vector<std::string>& args, Names options,
+                                       Names flags, std::size_t positionals = 0) {
+  const auto named = [](Names names, const std::string& a) {
+    return std::find(names.begin(), names.end(), a) != names.end();
+  };
+  std::vector<std::string> positional;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    if (named(options, a)) {
+      if (++i == args.size()) fail(cmd + ": " + a + " needs a value");
+    } else if (named(flags, a)) {
+      continue;
+    } else if (a.rfind("--", 0) == 0) {
+      fail(cmd + ": unknown option '" + a + "'");
+    } else if (positional.size() == positionals) {
+      fail(cmd + ": unexpected argument '" + a + "'");
+    } else {
+      positional.push_back(a);
+    }
+  }
+  return positional;
+}
+
 /// Wall-clock milliseconds since `start` on the steady clock.
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -223,6 +259,10 @@ void write_checkpoint_file(const local::EngineCheckpoint& ck, const std::string&
 /// engine with optional fault injection and checkpointing.
 int run_greedy(const std::vector<std::string>& args, const std::string& resume_path) {
   const char* cmd = resume_path.empty() ? "greedy" : "resume";
+  require_known(cmd, args,
+                {"--instance", "--engine", "--threads", "--chunk-slots", "--faults",
+                 "--checkpoint", "--checkpoint-every", "--max-rounds", "--round-sleep-ms"},
+                {"--json"});
   const std::string spec = option(args, "--instance");
   if (spec.empty()) fail(std::string(cmd) + ": --instance required");
   const std::string engine_spec = option(args, "--engine", "sync");
@@ -346,6 +386,10 @@ int cmd_resume(const std::vector<std::string>& args) {
 /// Multi-tenant front-end driver: N tenants × J greedy jobs through one
 /// MatchingService, every result fingerprinted against the standalone run.
 int cmd_serve(const std::vector<std::string>& args) {
+  require_known("serve", args,
+                {"--tenants", "--jobs-per-tenant", "--inflight", "--quantum", "--threads",
+                 "--engine", "--instance", "--faults", "--max-rounds"},
+                {"--json"});
   const int tenants = std::stoi(option(args, "--tenants", "3"));
   const int jobs_per_tenant = std::stoi(option(args, "--jobs-per-tenant", "4"));
   if (tenants < 1 || jobs_per_tenant < 1) {
@@ -459,6 +503,10 @@ int cmd_serve(const std::vector<std::string>& args) {
 /// non-zero on ANY maximality violation, which is what makes it a CI
 /// smoke: a repair bug cannot hide behind the summary text.
 int cmd_churn(const std::vector<std::string>& args) {
+  require_known("churn", args,
+                {"--instance", "--batches", "--ops-per-batch", "--seed", "--insert-fraction",
+                 "--engine", "--threads"},
+                {"--oracle", "--json"});
   const std::string spec = option(args, "--instance");
   if (spec.empty()) fail("churn: --instance required");
   const std::string engine_spec = option(args, "--engine", "sync");
@@ -495,6 +543,12 @@ int cmd_churn(const std::vector<std::string>& args) {
     check_ms += ms_since(check_start);
     bool batch_ok = incremental.ok();
     if (oracle) {
+      // check() narrows to the batch's dirty region; the oracle mode also
+      // runs the full check on the same outputs.
+      if (verify::check_outputs(matcher.graph(), matcher.outputs()).ok() != incremental.ok()) {
+        std::cerr << "churn: batch " << b << " local and full check disagree\n";
+        batch_ok = false;
+      }
       const std::vector<local::Colour> recomputed = matcher.recompute();
       const verify::MatchingReport oracle_report =
           verify::check_outputs(matcher.graph(), recomputed);
@@ -523,7 +577,8 @@ int cmd_churn(const std::vector<std::string>& args) {
               << ",\"matched_edges\":" << matched << ",\"final_edges\":"
               << matcher.graph().edge_count() << ",\"oracle\":" << (oracle ? "true" : "false")
               << ",\"valid\":" << (bad_batches == 0 ? "true" : "false")
-              << ",\"apply_ms\":" << apply_ms << ",\"check_ms\":" << check_ms << "}\n";
+              << ",\"apply_ms\":" << apply_ms << ",\"check_ms\":" << check_ms
+              << ",\"check_visits\":" << matcher.check_visits() << "}\n";
   } else {
     std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k()
               << ", edges " << g.edge_count() << " -> " << matcher.graph().edge_count()
@@ -535,6 +590,8 @@ int cmd_churn(const std::vector<std::string>& args) {
               << " node(s), recompute avoided " << stats.recompute_avoided
               << " node-visits)\n";
     std::cout << "matched edges: " << matched << "\n";
+    std::cout << "check: " << matcher.check_visits() << " node-visits over " << stats.batches
+              << " batch(es)\n";
     if (bad_batches == 0) {
       std::cout << "verification: valid maximal matching after every batch"
                 << (oracle ? " (oracle cross-checked)" : "") << "\n";
@@ -546,6 +603,9 @@ int cmd_churn(const std::vector<std::string>& args) {
 }
 
 int cmd_adversary(const std::vector<std::string>& args) {
+  require_known("adversary", args,
+                {"--k", "--algorithm", "--certificate-out", "--pair-out", "--threads"},
+                {"--no-memo", "--optimistic", "--orbits"});
   const int k = std::stoi(option(args, "--k", "0"));
   const std::string algo_spec = option(args, "--algorithm");
   if (k < 3 || algo_spec.empty()) fail("adversary: --k (>= 3) and --algorithm required");
@@ -580,19 +640,13 @@ int cmd_adversary(const std::vector<std::string>& args) {
 }
 
 int cmd_views(const std::vector<std::string>& args) {
-  // Positional k d rho, then flags.
-  std::vector<int> positional;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) == 0) {
-      if (args[i] != "--json" && args[i] != "--orbits") ++i;  // skip the flag's value
-      continue;
-    }
-    positional.push_back(std::stoi(args[i]));
-  }
+  const std::vector<std::string> positional =
+      require_known("views", args, {"--threads", "--max-views"}, {"--json", "--orbits"}, 3);
   if (positional.size() != 3) {
     fail("views: usage: views <k> <d> <rho> [--threads N] [--json] [--orbits]");
   }
-  const int k = positional[0], d = positional[1], rho = positional[2];
+  const int k = std::stoi(positional[0]), d = std::stoi(positional[1]),
+            rho = std::stoi(positional[2]);
   const int threads = std::stoi(option(args, "--threads", "1"));
   const int max_views = std::stoi(option(args, "--max-views", "2000000"));
   const bool json = flag(args, "--json");
@@ -672,6 +726,7 @@ int cmd_views(const std::vector<std::string>& args) {
 }
 
 int cmd_lemma4(const std::vector<std::string>& args) {
+  require_known("lemma4", args, {"--algorithm"}, {});
   const std::string algo_spec = option(args, "--algorithm");
   if (algo_spec.empty()) fail("lemma4: --algorithm required");
   const auto algorithm = parse_algorithm(algo_spec);
@@ -685,6 +740,7 @@ int cmd_lemma4(const std::vector<std::string>& args) {
 }
 
 int cmd_check(const std::vector<std::string>& args) {
+  require_known("check", args, {"--certificate", "--algorithm"}, {});
   const std::string cert_path = option(args, "--certificate");
   const std::string algo_spec = option(args, "--algorithm");
   if (cert_path.empty() || algo_spec.empty()) fail("check: --certificate and --algorithm required");
@@ -699,6 +755,7 @@ int cmd_check(const std::vector<std::string>& args) {
 }
 
 int cmd_export_dot(const std::vector<std::string>& args) {
+  require_known("export-dot", args, {"--instance", "--out"}, {});
   const std::string spec = option(args, "--instance");
   if (spec.empty()) fail("export-dot: --instance required");
   const graph::EdgeColouredGraph g = parse_instance(spec);
