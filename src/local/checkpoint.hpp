@@ -8,8 +8,8 @@
 // dropped) inside round r — so the flat engine's slot planes and spill
 // arenas need no serialisation at all.  A restored flat engine starts from
 // a fresh zero-stamped plane (every slot reads as absent, exactly like the
-// first round of a run) and its halted-announcement cache is re-rendered
-// from the restored outputs.  What does need saving is exactly:
+// first round of a run), and a halted node's announcement is looked up
+// from its restored output.  What does need saving is exactly:
 //
 //   * the completed round counter and the engine's node partition
 //     (halted / down / dead / running),

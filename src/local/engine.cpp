@@ -1,7 +1,7 @@
 #include "local/engine.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 
@@ -21,10 +21,17 @@ void NodeProgram::load_state(std::string_view /*in*/) {
       "NodeProgram::load_state: this program does not support checkpointing");
 }
 
-std::string halted_announcement(Colour output) {
-  char text[8] = {kHaltedPrefix};
-  const char* end = std::to_chars(text + 1, text + sizeof(text), static_cast<int>(output)).ptr;
-  return std::string(text, static_cast<std::size_t>(end - text));
+std::string_view halted_announcement(Colour output) noexcept {
+  // Every announcement a Colour can produce, rendered once per process.
+  static const std::array<std::string, 256> table = [] {
+    std::array<std::string, 256> rendered;
+    for (int c = 0; c < 256; ++c) {
+      rendered[static_cast<std::size_t>(c)] = kHaltedPrefix;
+      rendered[static_cast<std::size_t>(c)] += std::to_string(c);
+    }
+    return rendered;
+  }();
+  return table[output];
 }
 
 std::uint64_t outputs_fnv(const RunResult& run) {

@@ -146,8 +146,10 @@ class NodeProgram {
 inline constexpr char kHaltedPrefix = '!';
 
 /// What a halted node announces to its neighbours in every later round:
-/// kHaltedPrefix followed by its output in decimal ("!0" is ⊥).
-std::string halted_announcement(Colour output);
+/// kHaltedPrefix followed by its output in decimal ("!0" is ⊥).  The view
+/// points into one static table of all 256 announcements, shared by both
+/// engines and valid for the life of the program.
+std::string_view halted_announcement(Colour output) noexcept;
 
 /// How the engines build programs: one callable that appends programs for
 /// `count` nodes to the pool, in node order, constructing them in place in

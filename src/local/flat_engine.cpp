@@ -209,7 +209,6 @@ class FlatSession final : public Session {
   std::string_view slot_view(std::size_t s, std::uint8_t stamp) const noexcept;
   void halt(graph::NodeIndex v, int round);
   void merge_stats();  // folds the per-worker message stats into result_
-  void render_announcement(graph::NodeIndex v);
   void wipe_running_rows();
   void schedule(graph::NodeIndex v, int hint, int now);
   void wake(int round);
@@ -253,7 +252,6 @@ class FlatSession final : public Session {
   std::vector<char> halted_;
   std::vector<char> down_;  // includes dead nodes (a dead node stays down)
   std::vector<char> dead_;
-  std::vector<std::string> announcements_;
   FlatPlane plane_;
 
   // Wake buckets: one intrusive list per slot of a kWakeRing-round ring,
@@ -325,7 +323,6 @@ FlatSession::FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource&
   halted_.assign(n, 0);
   down_.assign(n, 0);
   dead_.assign(n, 0);
-  announcements_.assign(n, {});
 
   // Batch-construct every program in the pool's arena, then hand each
   // node a pointer straight into its CSR colour row — no per-node vector
@@ -432,12 +429,6 @@ void FlatSession::step_round(int round) {
   }
   if (!planes_ready_) {
     plane_.configure(port_colour_.size(), runtime_->arenas());
-    // Halts recorded before the first simulated round (round-0 halts, or
-    // everything a restored checkpoint carries) rendered no announcements
-    // yet; render the ones with a live audience now.
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (halted_[static_cast<std::size_t>(v)]) render_announcement(v);
-    }
     planes_ready_ = true;
   }
   // One contiguous plane, reused every round: the round stamp plays the
@@ -516,11 +507,6 @@ void FlatSession::step_round(int round) {
       halt(v, round);
       --running_;
     }
-  }
-  // Render after every same-round halt is marked, so the audience
-  // check sees the final halted state.
-  for (auto& batch : newly_halted_) {
-    for (graph::NodeIndex v : batch) render_announcement(v);
     batch.clear();
   }
   for (const graph::NodeIndex v : awake_) {
@@ -549,54 +535,36 @@ RunResult FlatSession::result() {
 }
 
 void FlatSession::build_csr() {
-  // Built straight from the edge list: one counting pass, one scatter
-  // pass into an interleaved scratch (one cache miss per half-edge, not
-  // two), then a sequential split + per-row insertion sort by colour.
-  // Never calls incident_colours/neighbour, which allocate per node.
-  const std::vector<graph::Edge>& edges = g_.edges();
-  std::vector<int> degrees(static_cast<std::size_t>(n_), 0);
-  for (const graph::Edge& e : edges) {
-    ++degrees[static_cast<std::size_t>(e.u)];
-    ++degrees[static_cast<std::size_t>(e.v)];
-  }
+  // Built from the graph's own adjacency rows: offsets from the degrees,
+  // then one sequential pass that copies each row into its slots.  Ports
+  // must ascend by colour within a row (that is what defines the port
+  // order seen by programs), and an edited row need not, so each row is
+  // insertion-sorted by colour as it lands; rows have at most k entries.
+  std::vector<int> degrees(static_cast<std::size_t>(n_));
+  for (graph::NodeIndex v = 0; v < n_; ++v) degrees[static_cast<std::size_t>(v)] = g_.degree(v);
   row_ = flat_row_offsets(degrees);
   const std::size_t slot_count = row_[static_cast<std::size_t>(n_)];
-  struct Half {
-    Colour colour;
-    graph::NodeIndex peer;
-  };
-  std::vector<Half> halves(slot_count);
-  {
-    std::vector<std::size_t> cursor(row_.begin(), row_.end() - 1);
-    for (const graph::Edge& e : edges) {
-      halves[cursor[static_cast<std::size_t>(e.u)]++] = {e.colour, e.v};
-      halves[cursor[static_cast<std::size_t>(e.v)]++] = {e.colour, e.u};
-    }
-  }
-  // Ports must ascend by colour within a row (that is what defines the
-  // port order seen by programs); rows have at most k entries.
-  for (graph::NodeIndex v = 0; v < n_; ++v) {
-    const std::size_t begin = row_[static_cast<std::size_t>(v)];
-    const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      const Half h = halves[i];
-      std::size_t j = i;
-      for (; j > begin && halves[j - 1].colour > h.colour; --j) halves[j] = halves[j - 1];
-      halves[j] = h;
-    }
-  }
   port_colour_.resize(slot_count);
   peer_node_.resize(slot_count);
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    port_colour_[s] = halves[s].colour;
-    peer_node_[s] = halves[s].peer;
+  for (graph::NodeIndex v = 0; v < n_; ++v) {
+    const std::size_t begin = row_[static_cast<std::size_t>(v)];
+    std::size_t s = begin;
+    g_.for_each_incident(v, [&](Colour c, graph::NodeIndex peer) {
+      std::size_t j = s++;
+      for (; j > begin && port_colour_[j - 1] > c; --j) {
+        port_colour_[j] = port_colour_[j - 1];
+        peer_node_[j] = peer_node_[j - 1];
+      }
+      port_colour_[j] = c;
+      peer_node_[j] = peer;
+    });
   }
 }
 
 std::string_view FlatSession::resolve(std::size_t s, std::uint8_t stamp) const noexcept {
   const graph::NodeIndex u = peer_node_[s];
   if (halted_[static_cast<std::size_t>(u)]) {
-    return announcements_[static_cast<std::size_t>(u)];
+    return halted_announcement(result_.outputs[static_cast<std::size_t>(u)]);
   }
   // A down (or dead) sender reads as absent on the shared edge.
   if (plan_ != nullptr && down_[static_cast<std::size_t>(u)]) return {};
@@ -639,28 +607,13 @@ void FlatSession::halt(graph::NodeIndex v, int round) {
       pool_[static_cast<std::size_t>(v)]->output();
 }
 
-/// Announcement cache: rendered once per halted node — and only for nodes
-/// with a non-halted neighbour, since nobody else ever reads the slot
-/// (run_sync re-renders this string per edge per round).  A down peer
-/// counts as audience: it may restart and read the announcement later.
-void FlatSession::render_announcement(graph::NodeIndex v) {
-  const std::size_t begin = row_[static_cast<std::size_t>(v)];
-  const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
-  bool audience = false;
-  for (std::size_t s = begin; s < end && !audience; ++s) {
-    audience = !halted_[static_cast<std::size_t>(peer_node_[s])];
-  }
-  if (!audience) return;
-  announcements_[static_cast<std::size_t>(v)] =
-      halted_announcement(result_.outputs[static_cast<std::size_t>(v)]);
-}
-
 /// The tag cycle restarted: every stamp value is about to be reused, so
 /// stale slots must be cleared — but only in rows whose sender is still
 /// running.  A halted node never writes again, and resolve() serves its
-/// cached announcement without ever reading its slots, so halted rows
-/// are dead storage; the old full-plane wipe rewrote them every cycle
-/// (pinned by the two-tag-cycle regression in tests/test_flat_stress.cpp).
+/// announcement from the shared table without reading its slots, so
+/// halted rows are dead storage; the old full-plane wipe rewrote them
+/// every cycle (pinned by the two-tag-cycle regression in
+/// tests/test_flat_stress.cpp).
 /// Sleeping and down rows are wiped too: such a node may wake mid-cycle
 /// and leave unwritten ports whose stale stamps must never alias a fresh
 /// tag.  This is the one per-cycle walk over all nodes.

@@ -7,16 +7,19 @@
 //
 //   * one 8-byte slot per directed edge, laid out sender-major so the send
 //     phase streams sequentially and the plane stays cache-resident even
-//     at millions of edges;
+//     at millions of edges.  The session's colour-sorted CSR (port colour
+//     and peer per slot) is copied from the graph's adjacency rows in one
+//     sequential pass, each row insertion-sorted by colour as it lands
+//     (rows of an edited graph are not in colour order);
 //   * messages up to kFlatInlineBytes live inline in the slot, the
 //     unbounded tail spills to a per-worker side arena (the model allows
 //     unbounded messages — flooding programs exercise this path);
 //   * programs see the slots through the port ABI (Outbox/Inbox,
 //     engine.hpp); inboxes resolve lazily, so a program that reads one
 //     port pays for one gather, not deg(v);
-//   * a halted node's announcement is rendered once, when it halts — and
-//     only if a still-running neighbour can read it — then served from
-//     that cache in every later round;
+//   * a halted node's announcement is never rendered per run: a read of
+//     its port returns halted_announcement(output), a view into one
+//     static table of all 256 announcements (engine.hpp);
 //   * a round steps only its awake nodes (NodeProgram::wake_round): every
 //     running node sits in exactly one wake bucket, and a round's send and
 //     receive phases walk the list drawn from its bucket instead of all n

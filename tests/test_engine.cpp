@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.hpp"
 #include "local/flat_engine.hpp"
 #include "local/program_pool.hpp"
@@ -178,6 +180,19 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
   EXPECT_EQ(r.rounds, 1);
   // The listener received the halted-announcement of output 1.
   EXPECT_EQ(Listener::last_heard, std::string(1, kHaltedPrefix) + "1");
+}
+
+TEST(Engine, HaltedAnnouncementTableCoversEveryColour) {
+  // One table serves both engines: the prefix, then the output in decimal
+  // ("!0" for ⊥), and every call returns a view of the same entry.
+  EXPECT_EQ(halted_announcement(kUnmatched), "!0");
+  for (int c = 0; c <= 255; ++c) {
+    const auto output = static_cast<Colour>(c);
+    std::string want(1, kHaltedPrefix);
+    want += std::to_string(c);
+    EXPECT_EQ(halted_announcement(output), want) << c;
+    EXPECT_EQ(halted_announcement(output).data(), halted_announcement(output).data()) << c;
+  }
 }
 
 }  // namespace

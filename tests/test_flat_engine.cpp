@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "algo/greedy.hpp"
 #include "algo/runner.hpp"
@@ -68,6 +74,104 @@ TEST(FlatEngine, WorstCaseChainsEveryAlgorithm) {
            algo::engine_realisations(k, /*flood_radius_cap=*/k)) {
         expect_engines_agree(*g, r.factory, r.round_bound,
                              "chain k=" + std::to_string(k) + " " + r.name);
+      }
+    }
+  }
+}
+
+/// Checks the row contract from inside a program: init's row strictly
+/// ascends, and the colour a node sends on each port arrives on the port of
+/// the same colour at the other end.  Throws on a violation, so an engine
+/// that leaves a row unsorted, or sorts colours without their peers, fails
+/// loudly.
+class RowProbe final : public NodeProgram {
+ public:
+  bool init(const Colour* incident, int degree) override {
+    for (int i = 1; i < degree; ++i) {
+      if (incident[i - 1] >= incident[i]) {
+        throw std::logic_error("RowProbe: init row does not strictly ascend");
+      }
+    }
+    return false;
+  }
+  void send(int, Outbox& out) override {
+    for (int port = 0; port < out.ports(); ++port) {
+      const char colour = static_cast<char>(out.colour(port));
+      out.set(port, std::string_view(&colour, 1));
+    }
+  }
+  bool receive(int, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      const std::string_view m = in.at(port);
+      if (m.size() != 1 || static_cast<Colour>(m[0]) != in.colour(port)) {
+        throw std::logic_error("RowProbe: a port is paired with the wrong edge");
+      }
+    }
+    return true;
+  }
+  Colour output() const override { return kUnmatched; }
+};
+
+bool has_unsorted_row(const graph::EdgeColouredGraph& g) {
+  for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
+    int last = 0;
+    bool sorted = true;
+    g.for_each_incident(v, [&](Colour c, graph::NodeIndex) {
+      sorted = sorted && c > last;
+      last = c;
+    });
+    if (!sorted) return true;
+  }
+  return false;
+}
+
+TEST(FlatEngine, UnsortedRowsAgree) {
+  // random_coloured_graph's rows ascend, so the fuzz above never needs the
+  // engines' per-row sort.  Each graph here has the same edges in rows out
+  // of colour order: bulk-built from a shuffled and from a colour-descending
+  // edge list, built by add_edge in descending colour order, and edited by
+  // remove_edge/add_edge (a removal swap-pops the row, a re-add appends).
+  struct Base {
+    int n, k;
+    double density;
+    bool every_algorithm;  // flooding views are exponential: small k only
+  };
+  for (const Base base : {Base{30, 4, 0.8, true}, Base{400, 8, 0.7, false}}) {
+    Rng rng(static_cast<std::uint64_t>(base.n * 10 + base.k));
+    const graph::EdgeColouredGraph sorted =
+        graph::random_coloured_graph(base.n, base.k, base.density, rng);
+    std::vector<graph::Edge> shuffled = sorted.edges();
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.index(i)]);
+    }
+    std::vector<graph::Edge> descending = sorted.edges();
+    std::stable_sort(descending.begin(), descending.end(),
+                     [](const graph::Edge& a, const graph::Edge& b) { return a.colour > b.colour; });
+    graph::EdgeColouredGraph added(base.n, base.k);
+    for (const graph::Edge& e : descending) added.add_edge(e.u, e.v, e.colour);
+    graph::EdgeColouredGraph edited = sorted;
+    std::vector<graph::Edge> removed;
+    for (std::size_t i = 0; i < sorted.edges().size(); i += 3) removed.push_back(sorted.edges()[i]);
+    for (const graph::Edge& e : removed) edited.remove_edge(e.u, e.v);
+    for (auto e = removed.rbegin(); e != removed.rend(); ++e) edited.add_edge(e->u, e->v, e->colour);
+
+    const std::vector<std::pair<std::string, graph::EdgeColouredGraph>> cases = {
+        {"shuffled bulk", graph::EdgeColouredGraph(base.n, base.k, shuffled)},
+        {"descending bulk", graph::EdgeColouredGraph(base.n, base.k, descending)},
+        {"descending add_edge", added},
+        {"remove/add edits", edited},
+    };
+    for (const auto& [name, g] : cases) {
+      const std::string context = name + " n=" + std::to_string(base.n);
+      ASSERT_TRUE(has_unsorted_row(g)) << context;
+      EXPECT_NO_THROW(expect_engines_agree(g, pooled<RowProbe>(), 2, context + " probe"));
+      expect_engines_agree(g, algo::greedy_program_factory(), base.k + 1, context + " greedy");
+      EXPECT_EQ(run_flat(g, algo::greedy_program_factory(), base.k + 1).outputs,
+                run_flat(sorted, algo::greedy_program_factory(), base.k + 1).outputs)
+          << context;
+      if (!base.every_algorithm) continue;
+      for (const algo::EngineRealisation& r : algo::engine_realisations(base.k)) {
+        expect_engines_agree(g, r.factory, r.round_bound, context + " " + r.name);
       }
     }
   }
@@ -331,9 +435,10 @@ TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
 }
 
 TEST(FlatEngine, RowOffsetsAre64BitSafe) {
-  // The CSR scan the engine itself uses (build_csr → flat_row_offsets)
-  // must accumulate in std::size_t: three nodes of degree 2³⁰ push the
-  // running slot count past 2³¹, which wrapped in 32-bit arithmetic.  The
+  // The offsets the engine itself uses (build_csr → flat_row_offsets over
+  // the graph's degrees) must accumulate in std::size_t: three nodes of
+  // degree 2³⁰ push the running slot count past 2³¹, which wrapped in
+  // 32-bit arithmetic.  The
   // offsets are pure bookkeeping — no plane is allocated here — so the
   // regression test covers the n·Δ > 2³¹ regime without 16 GiB of slots.
   const int big = 1 << 30;

@@ -67,7 +67,7 @@ TEST_P(WorstCaseSweep, AnyCorrectAlgorithmMustSeparateThem) {
   EXPECT_NE(algo.evaluate(view_u), algo.evaluate(view_v));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllK, WorstCaseSweep, ::testing::Range(2, 12));
+INSTANTIATE_TEST_SUITE_P(AllK, WorstCaseSweep, ::testing::Range(2, 13));
 
 TEST(WorstCase, LongPathGreedyMatchesOddClasses) {
   const graph::WorstCase wc = graph::worst_case_chain(6);
