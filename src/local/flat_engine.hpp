@@ -17,9 +17,9 @@
 //   * programs see the slots through the port ABI (Outbox/Inbox,
 //     engine.hpp); inboxes resolve lazily, so a program that reads one
 //     port pays for one gather, not deg(v);
-//   * a halted node's announcement is never rendered per run: a read of
-//     its port returns halted_announcement(output), a view into one
-//     static table of all 256 announcements (engine.hpp);
+//   * a read of a halted node's port returns halted_announcement(output),
+//     a view into one static table of all 256 announcements (engine.hpp),
+//     so a run renders no announcement;
 //   * a round steps only its awake nodes (NodeProgram::wake_round): every
 //     running node sits in exactly one wake bucket, and a round's send and
 //     receive phases walk the list drawn from its bucket instead of all n

@@ -186,6 +186,10 @@ TEST(Engine, HaltedAnnouncementTableCoversEveryColour) {
   // One table serves both engines: the prefix, then the output in decimal
   // ("!0" for ⊥), and every call returns a view of the same entry.
   EXPECT_EQ(halted_announcement(kUnmatched), "!0");
+  EXPECT_EQ(halted_announcement(9), "!9");
+  EXPECT_EQ(halted_announcement(10), "!10");
+  EXPECT_EQ(halted_announcement(100), "!100");
+  EXPECT_EQ(halted_announcement(255), "!255");
   for (int c = 0; c <= 255; ++c) {
     const auto output = static_cast<Colour>(c);
     std::string want(1, kHaltedPrefix);
